@@ -122,6 +122,9 @@ class _Task:
     attempts: int = 0
     delay: float = 0.0
     submitted: float = 0.0
+    #: Set when a worker crash could not be pinned on one task: the
+    #: task then runs alone, so a repeat crash is charged to it exactly.
+    suspect: bool = False
 
 
 class ResilientPool:
@@ -130,9 +133,13 @@ class ResilientPool:
     Worker processes are **persistent**: the first :meth:`map` call
     spawns them and later calls reuse them, so a campaign pays process
     startup once rather than once per generation.  Breakage (timeout
-    kills, worker crashes) still tears the pool down and respawns it,
-    with the respawn budget applied per :meth:`map` call.  Call
-    :meth:`close` when done.
+    kills, worker crashes, a worker that died while idle) tears the
+    executor down and leases its replacement at once, so a warm
+    executor survives a crash of the last task; the respawn budget is
+    applied per :meth:`map` call.  A crash is charged only to the task
+    that caused it: when a worker dies with several tasks unfinished,
+    all of them are re-queued uncharged as *suspects* and run one at a
+    time, which costs one extra respawn.  Call :meth:`close` when done.
 
     Parameters
     ----------
@@ -154,7 +161,10 @@ class ResilientPool:
         within budget).  Timeouts and worker crashes are always
         considered transient.
     max_respawns:
-        Pool reconstruction budget.  Once exhausted, the pool degrades
+        Pool reconstruction budget per :meth:`map` call.  Every
+        teardown spends one respawn; an ambiguous crash spends one more
+        when its suspects, run alone, pin the crash on the culprit.
+        Once exhausted, the pool degrades
         gracefully: remaining tasks run in-process (exceptions stay
         contained; timeouts are still enforced via ``SIGALRM`` on a
         POSIX main thread — see :func:`inline_timeout_supported` — and
@@ -181,7 +191,9 @@ class ResilientPool:
         self.max_respawns = max(0, int(max_respawns))
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        #: Respawns performed over this pool's lifetime (observability).
+        #: Executor teardowns over this pool's lifetime (observability).
+        #: Each is followed by a respawn unless the map() call's budget
+        #: is spent, in which case that call degrades to in-process.
         self.respawns = 0
         #: True once the pool fell back to in-process execution.
         self.degraded = False
@@ -249,32 +261,49 @@ class ResilientPool:
         try:
             while pending or order:
                 if executor is None:
-                    if self.respawns - respawns_at_start > \
-                            self.max_respawns:
-                        # Pool is irrecoverable: degrade to in-process.
-                        self.degraded = True
-                        obs.inc(
-                            "repro_pool_degraded_total",
-                            help_text="Pools that fell back to "
-                                      "in-process execution",
-                        )
-                        while pending:
-                            task = pending.popleft()
-                            outcomes[task.index] = self._run_inline(fn, task)
-                        return
-                    executor = self._lease_executor(workers)
+                    # Respawn budget spent, pool irrecoverable: degrade
+                    # to in-process.
+                    self.degraded = True
+                    obs.inc(
+                        "repro_pool_degraded_total",
+                        help_text="Pools that fell back to "
+                                  "in-process execution",
+                    )
+                    while pending:
+                        task = pending.popleft()
+                        outcomes[task.index] = self._run_inline(fn, task)
+                    return
                 # Keep at most ``workers`` tasks in flight so a freshly
                 # submitted task starts (approximately) immediately and
                 # its wall-clock budget measures execution, not queueing.
+                # A suspect runs alone: it waits for the tasks in flight
+                # to drain, and nothing joins it.
                 while pending and len(order) < workers:
+                    if order and (
+                        pending[0].suspect or inflight[order[0]].suspect
+                    ):
+                        break
                     task = pending.popleft()
                     if task.delay > 0:
                         time.sleep(task.delay)
                         task.delay = 0.0
                     task.submitted = time.monotonic()
-                    future = executor.submit(fn, task.item)
+                    try:
+                        future = executor.submit(fn, task.item)
+                    except BrokenExecutor:
+                        # Broken by an earlier task, or by a worker that
+                        # died while idle: this task never ran.
+                        pending.appendleft(task)
+                        break
                     inflight[future] = task
                     order.append(future)
+                if not order:
+                    # Only a broken submit leaves nothing in flight, and
+                    # then there is no task to charge.
+                    executor = self._respawn(
+                        executor, workers, respawns_at_start
+                    )
+                    continue
                 future = order[0]
                 task = inflight[future]
                 budget = None
@@ -285,14 +314,14 @@ class ResilientPool:
                 try:
                     value = future.result(budget)
                 except FuturesTimeoutError:
+                    # The head overran its own budget, so the charge is
+                    # exact; unfinished siblings are innocent bystanders.
                     self._drop(future, inflight, order)
-                    self._harvest(fn, inflight, order, outcomes, pending)
-                    self._retire(executor)
-                    executor = None
-                    self.respawns += 1
-                    obs.inc(
-                        "repro_pool_respawns_total",
-                        help_text="Process-pool reconstructions",
+                    bystanders = self._harvest(inflight, order, outcomes,
+                                               pending)
+                    pending.extendleft(reversed(bystanders))
+                    executor = self._respawn(
+                        executor, workers, respawns_at_start
                     )
                     self._finish_or_retry(
                         task, STATUS_TIMED_OUT, pending, outcomes,
@@ -300,15 +329,26 @@ class ResilientPool:
                         error_type="TimeoutError",
                     )
                 except BrokenExecutor as exc:
+                    # Every unfinished future fails when a worker dies,
+                    # so the head is not necessarily the culprit.
                     self._drop(future, inflight, order)
-                    self._harvest(fn, inflight, order, outcomes, pending)
-                    self._retire(executor)
-                    executor = None
-                    self.respawns += 1
-                    obs.inc(
-                        "repro_pool_respawns_total",
-                        help_text="Process-pool reconstructions",
+                    bystanders = self._harvest(inflight, order, outcomes,
+                                               pending)
+                    executor = self._respawn(
+                        executor, workers, respawns_at_start
                     )
+                    if bystanders and executor is not None:
+                        # Ambiguous: re-run every unfinished task alone,
+                        # uncharged, until the crash repeats on one.
+                        suspects = [task] + bystanders
+                        for suspect in suspects:
+                            suspect.suspect = True
+                        pending.extendleft(reversed(suspects))
+                        continue
+                    # One task unfinished: the crash is its own.  (With
+                    # the budget spent the suspects cannot be isolated,
+                    # and the head stays the best guess.)
+                    pending.extendleft(reversed(bystanders))
                     self._finish_or_retry(
                         task, STATUS_CRASHED, pending, outcomes,
                         error=str(exc) or "worker process died",
@@ -323,14 +363,7 @@ class ResilientPool:
                     )
                 else:
                     self._drop(future, inflight, order)
-                    task.attempts += 1
-                    outcomes[task.index] = TaskOutcome(
-                        index=task.index,
-                        status=STATUS_OK,
-                        value=value,
-                        attempts=task.attempts,
-                        duration=time.monotonic() - task.submitted,
-                    )
+                    self._record_ok(task, value, outcomes)
         except BaseException:
             # Abnormal exit (e.g. KeyboardInterrupt): don't leave live
             # worker processes behind an abandoned generation.
@@ -360,38 +393,79 @@ class ResilientPool:
             self._executor = None
             self._executor_workers = 0
 
+    def _respawn(
+        self,
+        executor: ProcessPoolExecutor,
+        workers: int,
+        respawns_at_start: int,
+    ) -> Optional[ProcessPoolExecutor]:
+        """Retire a broken executor and lease its replacement at once.
+
+        Constructing an executor starts no process before its first
+        submit, so the eager lease is free.  ``None`` means this map()
+        call's respawn budget is spent and the caller must degrade."""
+        self._retire(executor)
+        self.respawns += 1
+        obs.inc(
+            "repro_pool_respawns_total",
+            help_text="Process-pool reconstructions",
+        )
+        if self.respawns - respawns_at_start > self.max_respawns:
+            return None
+        return self._lease_executor(workers)
+
     @staticmethod
     def _drop(future, inflight, order) -> None:
         order.remove(future)
         del inflight[future]
 
+    @staticmethod
+    def _record_ok(
+        task: _Task, value: Any, outcomes: List[Optional[TaskOutcome]]
+    ) -> None:
+        task.attempts += 1
+        outcomes[task.index] = TaskOutcome(
+            index=task.index,
+            status=STATUS_OK,
+            value=value,
+            attempts=task.attempts,
+            duration=time.monotonic() - task.submitted,
+        )
+
     def _harvest(
         self,
-        fn,
         inflight: Dict[Any, _Task],
         order: Deque[Any],
         outcomes: List[Optional[TaskOutcome]],
         pending: Deque[_Task],
-    ) -> None:
+    ) -> List[_Task]:
         """Salvage the other in-flight tasks before a pool teardown.
 
-        Completed siblings keep their results; unfinished ones go back
-        to the queue as innocent bystanders (no attempt charged)."""
+        Completed siblings keep their results: ``ok``, or ``errored``
+        under the usual retry discipline.  The unfinished ones (still
+        running, or failed only by the teardown) are returned in
+        submission order with no attempt charged; the caller re-queues
+        them as innocent bystanders of a timeout, or as suspects of an
+        ambiguous crash."""
+        unfinished: List[_Task] = []
         while order:
             future = order.popleft()
             task = inflight.pop(future)
-            if future.done() and not future.cancelled() \
-                    and future.exception() is None:
-                task.attempts += 1
-                outcomes[task.index] = TaskOutcome(
-                    index=task.index,
-                    status=STATUS_OK,
-                    value=future.result(),
-                    attempts=task.attempts,
-                    duration=time.monotonic() - task.submitted,
-                )
+            if not future.done() or future.cancelled():
+                unfinished.append(task)
+                continue
+            exc = future.exception()
+            if exc is None:
+                self._record_ok(task, future.result(), outcomes)
+            elif isinstance(exc, BrokenExecutor):
+                unfinished.append(task)
             else:
-                pending.appendleft(task)
+                self._finish_or_retry(
+                    task, STATUS_ERRORED, pending, outcomes,
+                    error=str(exc), error_type=type(exc).__name__,
+                    exception=exc,
+                )
+        return unfinished
 
     def _finish_or_retry(
         self,

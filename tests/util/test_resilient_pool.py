@@ -46,6 +46,15 @@ def _exit_on_two(x):
     return x
 
 
+def _sleep_on_zero_exit_on_one(x):
+    """Task 1 kills its worker while task 0 is still running."""
+    if x == 0:
+        time.sleep(0.5)
+    if x == 1:
+        os._exit(17)
+    return x
+
+
 def _fail_until_marked(item):
     """Fails until its marker file exists (written on first failure)."""
     value, marker_dir = item
@@ -144,6 +153,20 @@ class TestWorkerCrash:
         assert [o.ok for i, o in enumerate(outcomes) if i != 2] == \
             [True] * 3
         assert pool.respawns >= 1
+
+    def test_crash_charged_only_to_the_crasher(self):
+        """Both futures fail when task 1 kills its worker while task 0
+        sleeps; the innocent task 0 must not be charged (with
+        ``max_retries=0`` a charge would be final)."""
+        pool = ResilientPool(workers=2, max_retries=0)
+        try:
+            outcomes = pool.map(_sleep_on_zero_exit_on_one, [0, 1])
+            assert outcomes[1].status == STATUS_CRASHED
+            assert outcomes[0].ok
+            assert outcomes[0].value == 0
+            assert outcomes[0].attempts == 1
+        finally:
+            pool.close()
 
 
 class TestRetry:
@@ -350,6 +373,28 @@ class TestPersistentExecutor:
             clean = pool.map(_square, [1, 2, 3])
             assert all(o.ok for o in clean)
             assert pool._executor is survivor
+        finally:
+            pool.close()
+
+    def test_worker_killed_while_idle_then_map_recovers(self):
+        """A warm executor whose worker died between map() calls makes
+        the next submit raise; map() must respawn, not raise."""
+        pool = ResilientPool(workers=2)
+        try:
+            pool.map(_square, [1, 2, 3, 4])
+            executor = pool._executor
+            victim = next(iter(executor._processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not executor._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert executor._broken
+            respawns = pool.respawns
+            outcomes = pool.map(_square, [5, 6, 7])
+            assert all(o.ok for o in outcomes)
+            assert [o.value for o in outcomes] == [25, 36, 49]
+            assert pool.respawns == respawns + 1
+            assert pool._executor is not executor
         finally:
             pool.close()
 
