@@ -29,6 +29,15 @@ methods for the per-metric soundness arguments).  A bound of exactly
 candidate *cannot* score, and :mod:`repro.analysis.screen` uses that
 to skip its simulation entirely.
 
+The work splits into two passes.  The **structural pass**
+(:func:`structural_pass`) reads only instruction definitions and
+branch displacements — CFG, reachability, loop detection, shortest
+path, per-class and memory counts — which is all the L1D and IBR
+bounds need; the screen runs it alone for those metrics.  The
+**dataflow pass** (operand-level facts, liveness, def-use chains)
+feeds only the IRF bound and the profile; :func:`analyze_program`
+runs both.
+
 Soundness is enforced two ways: the ``--paranoid`` evaluator mode
 asserts ``dynamic <= bound`` on every graded program, and
 ``tests/property/test_static_oracle.py`` sweeps hundreds of random
@@ -37,16 +46,12 @@ programs through the same differential check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, fields
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.isa.instructions import FUClass, Instruction
-from repro.isa.operands import (
-    MemOperand,
-    OperandKind,
-    RegOperand,
-    RelOperand,
-)
+from repro.isa.instructions import FUClass, Instruction, InstructionDef
+from repro.isa.operands import MemOperand, RegOperand, RelOperand
 from repro.isa.program import Program
 from repro.isa.registers import GPR_NAMES
 from repro.sim.config import DEFAULT_MACHINE, MachineConfig
@@ -90,6 +95,10 @@ _UNIT_INPUT_WIDTH = {
     FUClass.FP_DIV: 64 + 64,
 }
 
+#: Classes whose members access memory even without a MEM operand slot
+#: (PUSH/POP).
+_STACK_CLASSES = (FUClass.LOAD, FUClass.STORE)
+
 
 @dataclass(frozen=True)
 class InstrFacts:
@@ -128,6 +137,31 @@ class InstrFacts:
         return self.mem_bits > 0
 
 
+def _memory_access(definition: InstructionDef) -> Tuple[int, bool, bool]:
+    """``(bits per access, is_load, is_store)`` of one definition."""
+    bits = definition.mem_bits
+    if bits == 0 and definition.fu_class in _STACK_CLASSES:
+        # PUSH/POP access the stack without a MEM operand slot: their
+        # class is the only static giveaway.
+        return (
+            64,
+            definition.fu_class is FUClass.LOAD,
+            definition.fu_class is FUClass.STORE,
+        )
+    return bits, definition.is_load, definition.is_store
+
+
+def _branch_displacement(instruction: Instruction) -> Optional[int]:
+    """A branch's displacement in instruction slots relative to the
+    next instruction (None for non-branches)."""
+    if not instruction.definition.is_branch:
+        return None
+    for operand in instruction.operands:
+        if isinstance(operand, RelOperand):
+            return operand.displacement
+    return None
+
+
 def instruction_facts(index: int, instruction: Instruction) -> InstrFacts:
     """Derive the read/write/memory facts of one instruction.
 
@@ -138,10 +172,6 @@ def instruction_facts(index: int, instruction: Instruction) -> InstrFacts:
     definition = instruction.definition
     reads = set(definition.implicit_reads)
     writes = set(definition.implicit_writes)
-    mem_bits = 0
-    is_load = definition.is_load
-    is_store = definition.is_store
-    branch_disp: Optional[int] = None
     for spec, operand in zip(definition.operands, instruction.operands):
         if isinstance(operand, RegOperand):
             if spec.is_src:
@@ -152,20 +182,9 @@ def instruction_facts(index: int, instruction: Instruction) -> InstrFacts:
                     # 8/16-bit writes merge into the old value; reading
                     # it keeps the previous def conservatively live.
                     reads.add(operand.reg.name)
-        elif isinstance(operand, MemOperand):
-            if operand.base is not None:
-                reads.add(operand.base.name)
-            if spec.kind is OperandKind.MEM and not definition.address_only:
-                mem_bits = max(mem_bits, spec.width)
-        elif isinstance(operand, RelOperand):
-            branch_disp = operand.displacement
-    # PUSH/POP access the stack without a MEM operand slot: their
-    # class is the only static giveaway.
-    if mem_bits == 0 and definition.fu_class in (FUClass.LOAD,
-                                                 FUClass.STORE):
-        mem_bits = 64
-        is_load = definition.fu_class is FUClass.LOAD
-        is_store = definition.fu_class is FUClass.STORE
+        elif isinstance(operand, MemOperand) and operand.base is not None:
+            reads.add(operand.base.name)
+    mem_bits, is_load, is_store = _memory_access(definition)
     return InstrFacts(
         index=index,
         fu_class=definition.fu_class,
@@ -177,48 +196,51 @@ def instruction_facts(index: int, instruction: Instruction) -> InstrFacts:
         is_load=is_load,
         is_store=is_store,
         is_branch=definition.is_branch,
-        branch_disp=branch_disp if definition.is_branch else None,
-        branch_always=(
-            definition.is_branch and definition.semantic == "jmp"
-        ),
+        branch_disp=_branch_displacement(instruction),
+        branch_always=definition.is_jmp,
     )
 
 
-def _successors(facts: InstrFacts, count: int) -> List[int]:
-    """CFG successor indices; ``count`` (one past the last
-    instruction) is the exit node."""
-    if not facts.is_branch or facts.branch_disp is None:
-        return [min(facts.index + 1, count)]
-    target = facts.index + 1 + facts.branch_disp
+def _successors(
+    index: int, branch_disp: Optional[int], branch_always: bool, count: int
+) -> List[int]:
+    """CFG successor indices of instruction ``index``; ``count`` (one
+    past the last instruction) is the exit node.  ``branch_disp`` is
+    None for non-branches."""
+    fall_through = min(index + 1, count)
+    if branch_disp is None:
+        return [fall_through]
+    target = index + 1 + branch_disp
     if target < 0 or target > count:
         target = count  # leaving the program is an exit
-    if facts.branch_always:
+    if branch_always:
         return [target]
-    fall_through = min(facts.index + 1, count)
     if target == fall_through:
         return [fall_through]
     return [fall_through, target]
 
 
 @dataclass(frozen=True)
-class StaticReport:
-    """Everything the static pass proved about one program.
+class StructuralReport:
+    """What the structural pass proved about one program.
 
-    The three ``*_bound`` methods return **upper bounds** on the
-    corresponding dynamic coverage metrics, valid for any fault-free
-    golden run of the program on ``machine``.  ``0.0`` is a
-    certificate that the metric *must* grade to zero (crashing runs
-    grade to zero by definition), which is exactly the property
-    screening relies on — no false skips.
+    The structural pass reads only instruction definitions and branch
+    displacements: control flow, reachability and per-class/memory
+    counts.  That is everything the L1D and IBR bounds need, so the
+    static screen runs this pass alone for those metrics.
+
+    The bound methods return **upper bounds** on the corresponding
+    dynamic coverage metrics, valid for any fault-free golden run of
+    the program on ``machine``.  ``0.0`` is a certificate that the
+    metric *must* grade to zero (crashing runs grade to zero by
+    definition), which is exactly the property screening relies on —
+    no false skips.
     """
 
     name: str
     num_instructions: int
     #: Instructions reachable from entry in the static CFG.
     reachable: int
-    #: Statically dead instructions (reachable but effect-free) as a
-    #: fraction of all instructions; unreachable ones count as dead.
-    dead_instruction_fraction: float
     #: Static instruction share per FU class, over *reachable*
     #: instructions (the static analogue of the dynamic mix).
     mix: Dict[FUClass, float] = field(default_factory=dict)
@@ -233,12 +255,6 @@ class StaticReport:
     #: Shortest entry→exit path length, in instructions (= the
     #: program length for straight-line code).
     min_path_instructions: int = 0
-    #: GPR write slots across reachable instructions (each allocates
-    #: one physical register version when executed).
-    gpr_defs: int = 0
-    #: Of those, defs that may be consumed (statically live): dead
-    #: defs provably accrue zero ACE window.
-    live_gpr_defs: int = 0
     #: Upper bound on distinct cache words that *loads* can touch
     #: (summed worst-case word spans over reachable load instructions).
     load_span_words: int = 0
@@ -248,36 +264,8 @@ class StaticReport:
     store_instructions: int = 0
     #: Reachable memory-accessing instructions (loads + stores).
     memory_instructions: int = 0
-    #: Static producer→consumer def-use distances, in instruction
-    #: slots (straight-line programs only; empty otherwise).  Reused
-    #: by :func:`repro.analysis.profile.static_profile`.
-    def_use_distances: Tuple[int, ...] = ()
 
     # -- static coverage upper bounds ---------------------------------
-
-    def ace_irf_bound(
-        self, machine: MachineConfig = DEFAULT_MACHINE
-    ) -> float:
-        """Upper bound on IRF ACE vulnerability.
-
-        Soundness: ``ace_register_file`` sums, over physical register
-        versions with at least one (transitively live) data read, a
-        window of at most ``total_cycles`` times at most 64 exposed
-        bits; the denominator is ``num_int_pregs * 64 * total_cycles``.
-        So vulnerability <= V / num_int_pregs where V counts versions
-        that can ever be data-read.  Versions are the wrapper's
-        initial GPR mappings plus one per executed GPR write; loop-free
-        programs execute each instruction at most once, so V <=
-        init versions + static GPR write slots, minus the statically
-        dead defs (no static consumer and overwritten before the end
-        dump — such a version's read list stays empty).  With a
-        backward branch the count argument fails and the bound is the
-        trivial 1.0.
-        """
-        if self.has_backward_branch:
-            return 1.0
-        versions = NUM_INIT_GPR_VERSIONS + self.live_gpr_defs
-        return min(1.0, versions / machine.core.num_int_pregs)
 
     def ace_l1d_bound(
         self, machine: MachineConfig = DEFAULT_MACHINE
@@ -343,6 +331,51 @@ class StaticReport:
             1.0, (count * per_op) / (unit_width * cycles_floor)
         )
 
+
+@dataclass(frozen=True)
+class StaticReport(StructuralReport):
+    """Everything the static pass proved about one program: the
+    structural facts plus the dataflow pass's liveness results, which
+    the IRF bound and the program profile read."""
+
+    #: Statically dead instructions (reachable but effect-free) as a
+    #: fraction of all instructions; unreachable ones count as dead.
+    dead_instruction_fraction: float = 0.0
+    #: GPR write slots across reachable instructions (each allocates
+    #: one physical register version when executed).
+    gpr_defs: int = 0
+    #: Of those, defs that may be consumed (statically live): dead
+    #: defs provably accrue zero ACE window.
+    live_gpr_defs: int = 0
+    #: Static producer→consumer def-use distances, in instruction
+    #: slots (straight-line programs only; empty otherwise).  Reused
+    #: by :func:`repro.analysis.profile.static_profile`.
+    def_use_distances: Tuple[int, ...] = ()
+
+    def ace_irf_bound(
+        self, machine: MachineConfig = DEFAULT_MACHINE
+    ) -> float:
+        """Upper bound on IRF ACE vulnerability.
+
+        Soundness: ``ace_register_file`` sums, over physical register
+        versions with at least one (transitively live) data read, a
+        window of at most ``total_cycles`` times at most 64 exposed
+        bits; the denominator is ``num_int_pregs * 64 * total_cycles``.
+        So vulnerability <= V / num_int_pregs where V counts versions
+        that can ever be data-read.  Versions are the wrapper's
+        initial GPR mappings plus one per executed GPR write; loop-free
+        programs execute each instruction at most once, so V <=
+        init versions + static GPR write slots, minus the statically
+        dead defs (no static consumer and overwritten before the end
+        dump — such a version's read list stays empty).  With a
+        backward branch the count argument fails and the bound is the
+        trivial 1.0.
+        """
+        if self.has_backward_branch:
+            return 1.0
+        versions = NUM_INIT_GPR_VERSIONS + self.live_gpr_defs
+        return min(1.0, versions / machine.core.num_int_pregs)
+
     def metric_bounds(
         self, machine: MachineConfig = DEFAULT_MACHINE
     ) -> Dict[str, float]:
@@ -383,7 +416,9 @@ def _liveness_fixpoint(
             facts = all_facts[index]
             out_regs: FrozenSet[str] = frozenset()
             out_flags = False
-            for successor in _successors(facts, count):
+            for successor in _successors(
+                facts.index, facts.branch_disp, facts.branch_always, count
+            ):
                 if successor >= count:
                     out_regs |= exit_regs
                 else:
@@ -402,7 +437,9 @@ def _liveness_fixpoint(
     for facts in all_facts:
         out_regs = frozenset()
         out_flags = False
-        for successor in _successors(facts, count):
+        for successor in _successors(
+            facts.index, facts.branch_disp, facts.branch_always, count
+        ):
             if successor >= count:
                 out_regs |= exit_regs
             else:
@@ -482,13 +519,18 @@ def _straight_line_chains(
     return live, distances, def_live
 
 
-def analyze_program(program: Program) -> StaticReport:
-    """Run the full static pass over one program."""
-    instructions = list(program.instructions)
-    count = len(instructions)
-    all_facts = [
-        instruction_facts(index, instruction)
-        for index, instruction in enumerate(instructions)
+def _control_flow(
+    branches: Dict[int, Tuple[Optional[int], bool]], count: int
+) -> Tuple[List[bool], bool, bool, int]:
+    """``(reachable, has_backward_branch, straight_line, min_path)``
+    from the ``{index: (displacement, is_jmp)}`` map of branches."""
+    if all(disp == 0 for disp, _ in branches.values()):
+        # Every branch falls through (the generator's programs): one
+        # straight line through every instruction.
+        return [True] * count, False, True, count
+    successors = [
+        _successors(index, *branches.get(index, (None, False)), count)
+        for index in range(count)
     ]
 
     # Reachability (forward DFS) + loop detection.
@@ -499,78 +541,120 @@ def analyze_program(program: Program) -> StaticReport:
         if index >= count or reachable[index]:
             continue
         reachable[index] = True
-        for successor in _successors(all_facts[index], count):
+        for successor in successors[index]:
             if successor < count and not reachable[successor]:
                 stack.append(successor)
     has_backward = any(
-        reachable[facts.index] and successor <= facts.index
-        for facts in all_facts
-        for successor in _successors(facts, count)
+        reachable[index] and successor <= index
+        for index in range(count)
+        for successor in successors[index]
         if successor < count
     )
     straight_line = not has_backward and all(
-        (not facts.is_branch)
-        or facts.branch_disp == 0
-        for facts in all_facts
-        if reachable[facts.index]
+        disp == 0
+        for index, (disp, _) in branches.items()
+        if reachable[index]
     )
 
     # Shortest entry->exit path (BFS over the unweighted CFG).
-    min_path = count
+    min_path = count  # fall-through worst case
     if count and not straight_line:
-        from collections import deque
-
         dist = {0: 0}
         queue = deque([0])
-        min_path = count  # fall-through worst case
         while queue:
             index = queue.popleft()
-            if index >= count:
-                continue
-            for successor in _successors(all_facts[index], count):
+            for successor in successors[index]:
                 if successor not in dist:
                     dist[successor] = dist[index] + 1
-                    if successor >= count:
-                        min_path = min(min_path, dist[successor])
-                    else:
+                    if successor < count:
                         queue.append(successor)
-        if count in dist:
-            min_path = dist[count]
+        min_path = dist.get(count, count)
+    return reachable, has_backward, straight_line, min_path
 
+
+def _structure(program: Program) -> Tuple[StructuralReport, List[bool]]:
+    """The structural pass, plus its per-instruction reachability."""
+    instructions = program.instructions
+    count = len(instructions)
+    branches: Dict[int, Tuple[Optional[int], bool]] = {}
+    for index, instruction in enumerate(instructions):
+        definition = instruction.definition
+        if definition.is_branch:
+            branches[index] = (
+                _branch_displacement(instruction), definition.is_jmp
+            )
+    reachable, has_backward, straight_line, min_path = _control_flow(
+        branches, count
+    )
+
+    reachable_count = 0
+    class_counts: Dict[FUClass, int] = {}
+    memory_instructions = 0
+    load_span_words = 0
+    store_instructions = 0
+    for instruction, live in zip(instructions, reachable):
+        if not live:
+            continue
+        reachable_count += 1
+        definition = instruction.definition
+        fu_class = definition.fu_class
+        class_counts[fu_class] = class_counts.get(fu_class, 0) + 1
+        mem_bits, is_load, is_store = _memory_access(definition)
+        if mem_bits:
+            memory_instructions += 1
+        if is_load:
+            # Worst-case word span of an access of s bytes at any
+            # alignment: ceil((7 + s) / 8) == (s + 6) // 8 + 1 words.
+            load_span_words += (
+                (mem_bits // 8 + _WORD_BYTES - 2) // _WORD_BYTES + 1
+            )
+        if is_store:
+            store_instructions += 1
+    mix = {
+        fu_class: cls_count / reachable_count
+        for fu_class, cls_count in class_counts.items()
+    }
+    report = StructuralReport(
+        name=program.name,
+        num_instructions=count,
+        reachable=reachable_count,
+        mix=mix,
+        class_counts=class_counts,
+        has_backward_branch=has_backward,
+        straight_line=straight_line,
+        min_path_instructions=min_path,
+        load_span_words=load_span_words,
+        store_instructions=store_instructions,
+        memory_instructions=memory_instructions,
+    )
+    return report, reachable
+
+
+def structural_pass(program: Program) -> StructuralReport:
+    """Run only the structural pass: all the L1D and IBR bounds read."""
+    return _structure(program)[0]
+
+
+def analyze_program(program: Program) -> StaticReport:
+    """Run the full static pass over one program: the structural pass
+    plus the dataflow pass (liveness, dead code, def-use chains)."""
+    structure, reachable = _structure(program)
+    count = structure.num_instructions
+    all_facts = [
+        instruction_facts(index, instruction)
+        for index, instruction in enumerate(program.instructions)
+    ]
     reachable_facts = [
         facts for facts in all_facts if reachable[facts.index]
     ]
-    class_counts: Dict[FUClass, int] = {}
-    for facts in reachable_facts:
-        class_counts[facts.fu_class] = class_counts.get(
-            facts.fu_class, 0
-        ) + 1
-    mix = {
-        fu_class: cls_count / len(reachable_facts)
-        for fu_class, cls_count in class_counts.items()
-    } if reachable_facts else {}
-
     gpr_defs = sum(
         len(facts.gpr_writes) for facts in reachable_facts
     )
-    memory_instructions = sum(
-        1 for facts in reachable_facts if facts.is_memory
-    )
-    # Worst-case word span of an access of s bytes at any alignment:
-    # ceil((7 + s) / 8) == (s + 6) // 8 + 1 words.
-    load_span_words = sum(
-        (facts.mem_bits // 8 + _WORD_BYTES - 2) // _WORD_BYTES + 1
-        for facts in reachable_facts
-        if facts.is_load
-    )
-    store_instructions = sum(
-        1 for facts in reachable_facts if facts.is_store
-    )
 
-    dead_count = count - len(reachable_facts)
+    dead_count = count - structure.reachable
     distances: Tuple[int, ...] = ()
     live_gpr_defs = gpr_defs
-    if straight_line and count:
+    if structure.straight_line and count:
         live, raw_distances, def_live = _straight_line_chains(all_facts)
         dead_count += sum(1 for flag in live if not flag)
         distances = tuple(raw_distances)
@@ -580,7 +664,7 @@ def analyze_program(program: Program) -> StaticReport:
             for name in facts.gpr_writes
             if def_live.get((facts.index, name), False)
         )
-    elif not straight_line:
+    elif not structure.straight_line:
         # Conservative: simple liveness only, every def may be read.
         live_out = _liveness_fixpoint(all_facts)
         for facts in reachable_facts:
@@ -598,21 +682,14 @@ def analyze_program(program: Program) -> StaticReport:
                 dead_count += 1
 
     return StaticReport(
-        name=program.name,
-        num_instructions=count,
-        reachable=len(reachable_facts),
+        **{
+            spec.name: getattr(structure, spec.name)
+            for spec in fields(StructuralReport)
+        },
         dead_instruction_fraction=(
             dead_count / count if count else 0.0
         ),
-        mix=mix,
-        class_counts=class_counts,
-        has_backward_branch=has_backward,
-        straight_line=straight_line,
-        min_path_instructions=min_path if count else 0,
         gpr_defs=gpr_defs,
         live_gpr_defs=live_gpr_defs,
-        load_span_words=load_span_words,
-        store_instructions=store_instructions,
-        memory_instructions=memory_instructions,
         def_use_distances=distances,
     )

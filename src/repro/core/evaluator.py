@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.analysis.screen import static_bound
+from repro.analysis.screen import bound_can_be_zero, static_bound
 from repro.core.errors import StaticOracleError
 from repro.core.evalcache import (
     EvaluationCache,
@@ -274,6 +274,12 @@ class Evaluator:
         self.cache = cache
         self.static_screen = static_screen
         self.paranoid = paranoid
+        # Decided once per metric: a screen whose bound is never zero
+        # (IRF, unbounded metrics) can never skip, so only the paranoid
+        # oracle still needs the bound.
+        self._needs_bound = paranoid or (
+            static_screen and bound_can_be_zero(metric)
+        )
         self._cache_context: Optional[bytes] = None
         self._health = EvalHealth()
         # One ResilientPool per evaluator lifetime: worker processes
@@ -314,8 +320,9 @@ class Evaluator:
         Never raises for a candidate failure: misbehaving programs come
         back quarantined with :data:`QUARANTINE_FITNESS`.
 
-        With ``static_screen`` enabled (the default), every candidate
-        is first run through the simulation-free static analyzer
+        With ``static_screen`` enabled (the default) and a metric
+        whose bound can be zero, every candidate is first run through
+        the simulation-free static analyzer
         (:mod:`repro.analysis.screen`): candidates whose static
         coverage upper bound is exactly zero are scored ``0.0``
         without simulating or consulting the cache.  A screened
@@ -330,7 +337,7 @@ class Evaluator:
         standing sanitizer for both the analyzer and the simulator.
         """
         programs = list(programs)
-        if not programs or not (self.static_screen or self.paranoid):
+        if not programs or not self._needs_bound:
             return self._evaluate_cached(programs)
         bounds = [
             static_bound(program, self.metric, self.machine)

@@ -125,11 +125,38 @@ class InstructionDef:
                 for spec in self.operands
             ),
         )
+        # So are the static screen's: it reads them once per candidate
+        # instruction.
+        object.__setattr__(
+            self,
+            "_mem_bits",
+            max(
+                spec.width
+                for spec in self.operands
+                if spec.kind is OperandKind.MEM
+            ) if is_memory else 0,
+        )
+        object.__setattr__(
+            self,
+            "_is_jmp",
+            self.fu_class is FUClass.BRANCH and self.semantic == "jmp",
+        )
 
     @property
     def is_memory(self) -> bool:
         """True when the instruction actually accesses memory."""
         return self._is_memory
+
+    @property
+    def mem_bits(self) -> int:
+        """Bits per access of the memory operand (0 when the
+        instruction has none, or only computes an address)."""
+        return self._mem_bits
+
+    @property
+    def is_jmp(self) -> bool:
+        """Unconditional branch: its fall-through is never taken."""
+        return self._is_jmp
 
     @property
     def is_load(self) -> bool:

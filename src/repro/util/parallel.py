@@ -26,6 +26,7 @@ import time
 from collections import deque
 from concurrent.futures import (
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     TimeoutError as FuturesTimeoutError,
 )
@@ -96,7 +97,9 @@ class TaskOutcome:
     killed) / ``crashed`` (the worker process died).  ``attempts``
     counts every try including the successful or final one, and
     ``where`` records whether the final attempt ran in the pool or
-    in-process after the pool degraded.
+    in-process after the pool degraded.  ``duration`` runs from the
+    final attempt's submission to its completion in the worker, not
+    to the moment the pool collected it.
     """
 
     index: int
@@ -125,6 +128,27 @@ class _Task:
     #: Set when a worker crash could not be pinned on one task: the
     #: task then runs alone, so a repeat crash is charged to it exactly.
     suspect: bool = False
+
+
+def _stamp_done(future: Future) -> None:
+    """Done callback: stamp when the task finished in its worker.  A
+    task that finishes behind a slower head is collected late, but its
+    duration ends here.  (Stored on the future itself: a callback that
+    closed over pool state would tie every result into a cycle.)"""
+    future.done_at = time.monotonic()
+
+
+def _done_at(future: Future) -> Optional[float]:
+    """The completion stamp, or None when the callback has not run yet
+    (it runs just after waiters on ``result()`` are woken)."""
+    return getattr(future, "done_at", None)
+
+
+def _elapsed(task: _Task, finished: Optional[float]) -> float:
+    """Seconds from the task's submission to its completion stamp (or
+    to now, when it has none yet)."""
+    end = time.monotonic() if finished is None else finished
+    return end - task.submitted
 
 
 class ResilientPool:
@@ -295,6 +319,7 @@ class ResilientPool:
                         # died while idle: this task never ran.
                         pending.appendleft(task)
                         break
+                    future.add_done_callback(_stamp_done)
                     inflight[future] = task
                     order.append(future)
                 if not order:
@@ -359,11 +384,13 @@ class ResilientPool:
                     self._finish_or_retry(
                         task, STATUS_ERRORED, pending, outcomes,
                         error=str(exc), error_type=type(exc).__name__,
-                        exception=exc,
+                        exception=exc, finished=_done_at(future),
                     )
                 else:
                     self._drop(future, inflight, order)
-                    self._record_ok(task, value, outcomes)
+                    self._record_ok(
+                        task, value, outcomes, _done_at(future)
+                    )
         except BaseException:
             # Abnormal exit (e.g. KeyboardInterrupt): don't leave live
             # worker processes behind an abandoned generation.
@@ -421,7 +448,10 @@ class ResilientPool:
 
     @staticmethod
     def _record_ok(
-        task: _Task, value: Any, outcomes: List[Optional[TaskOutcome]]
+        task: _Task,
+        value: Any,
+        outcomes: List[Optional[TaskOutcome]],
+        finished: Optional[float] = None,
     ) -> None:
         task.attempts += 1
         outcomes[task.index] = TaskOutcome(
@@ -429,7 +459,7 @@ class ResilientPool:
             status=STATUS_OK,
             value=value,
             attempts=task.attempts,
-            duration=time.monotonic() - task.submitted,
+            duration=_elapsed(task, finished),
         )
 
     def _harvest(
@@ -456,14 +486,16 @@ class ResilientPool:
                 continue
             exc = future.exception()
             if exc is None:
-                self._record_ok(task, future.result(), outcomes)
+                self._record_ok(
+                    task, future.result(), outcomes, _done_at(future)
+                )
             elif isinstance(exc, BrokenExecutor):
                 unfinished.append(task)
             else:
                 self._finish_or_retry(
                     task, STATUS_ERRORED, pending, outcomes,
                     error=str(exc), error_type=type(exc).__name__,
-                    exception=exc,
+                    exception=exc, finished=_done_at(future),
                 )
         return unfinished
 
@@ -476,9 +508,10 @@ class ResilientPool:
         error: Optional[str] = None,
         error_type: Optional[str] = None,
         exception: Optional[BaseException] = None,
+        finished: Optional[float] = None,
     ) -> None:
         task.attempts += 1
-        duration = time.monotonic() - task.submitted
+        duration = _elapsed(task, finished)
         retry_allowed = task.attempts <= self.max_retries
         if status == STATUS_ERRORED and retry_allowed \
                 and self.retryable is not None and exception is not None:

@@ -3,7 +3,12 @@ the paranoid differential oracle."""
 
 import pytest
 
-from repro.analysis.screen import should_skip, static_bound
+from repro.analysis.screen import (
+    bound_can_be_zero,
+    should_skip,
+    static_bound,
+)
+from repro.core import evaluator as evaluator_module
 from repro.core.errors import StaticOracleError
 from repro.core.evaluator import (
     EvaluatedProgram,
@@ -14,7 +19,6 @@ from repro.core.targets import scaled_targets
 from repro.coverage.metrics import IbrCoverage
 from repro.experiments.fig10 import campaign_stdout, run_target
 from repro.experiments.presets import SMOKE
-from repro.isa import make, reg, x64
 from repro.isa.instructions import FUClass
 
 SCALES = (SMOKE.program_scale, SMOKE.loop_scale)
@@ -74,6 +78,42 @@ def test_screened_program_counts_and_scores_zero():
     assert [e.fitness for e in with_screen] == \
         [e.fitness for e in without]
     assert with_screen[0].fitness == 0.0
+
+
+def test_irf_evaluator_makes_no_bound_call_unless_paranoid(monkeypatch):
+    """The IRF bound is never zero, so its screen can never skip: an
+    IRF evaluator pays for no static pass unless it is paranoid."""
+    spec = _spec("irf")
+    assert not bound_can_be_zero(spec.metric)
+    population = _population(spec, count=4)
+    calls = []
+
+    def counting_bound(*args):
+        calls.append(args)
+        return static_bound(*args)
+
+    monkeypatch.setattr(evaluator_module, "static_bound", counting_bound)
+    graded = {}
+    for screen in (True, False):
+        evaluator = Evaluator(
+            spec.metric, spec.machine, static_screen=screen
+        )
+        try:
+            results = evaluator.evaluate(population)
+        finally:
+            evaluator.close()
+        graded[screen] = (
+            [e.fitness for e in results], evaluator.health.as_dict()
+        )
+    assert calls == []
+    assert graded[True] == graded[False]
+
+    paranoid = Evaluator(spec.metric, spec.machine, paranoid=True)
+    try:
+        paranoid.evaluate(population)
+    finally:
+        paranoid.close()
+    assert len(calls) == len(population)
 
 
 def test_campaign_stdout_identical_with_and_without_screen():

@@ -55,6 +55,11 @@ def _sleep_on_zero_exit_on_one(x):
     return x
 
 
+def _sleep_for(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
 def _fail_until_marked(item):
     """Fails until its marker file exists (written on first failure)."""
     value, marker_dir = item
@@ -425,3 +430,15 @@ class TestTaskOutcome:
     def test_ok_property(self):
         assert TaskOutcome(index=0, status=STATUS_OK).ok
         assert not TaskOutcome(index=0, status=STATUS_TIMED_OUT).ok
+
+    def test_duration_ends_when_the_task_finishes(self):
+        """A fast task harvested behind a slow head reports its own
+        run time, not the head's."""
+        pool = ResilientPool(workers=2)
+        try:
+            slow, fast = pool.map(_sleep_for, [1.0, 0.0])
+        finally:
+            pool.close()
+        assert slow.ok and fast.ok
+        assert slow.duration >= 1.0
+        assert fast.duration < 0.5 * slow.duration
