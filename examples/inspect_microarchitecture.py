@@ -39,7 +39,7 @@ def main() -> None:
     print()
 
     output = golden.result.output
-    print("Wrapper output (what fault detection compares):")
+    print("Wrapper output signatures (detection compares the raw output):")
     print(f"  memory signature : {output.memory_signature:#018x}")
     print(f"  folded signature : {output.signature():#018x}")
 

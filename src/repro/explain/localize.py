@@ -223,7 +223,7 @@ def _corrupted_outputs(golden_output, faulty_output) -> Tuple[str, ...]:
             names.append(name)
     if golden_output.rflags != faulty_output.rflags:
         names.append("rflags")
-    if golden_output.memory_signature != faulty_output.memory_signature:
+    if golden_output.data != faulty_output.data:
         names.append("memory")
     return tuple(names)
 

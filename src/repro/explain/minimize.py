@@ -44,7 +44,7 @@ produce byte-identical witnesses.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro import obs

@@ -11,7 +11,9 @@ In this reproduction the simulator realizes the same contract: a
 deterministic ``init_seed`` (consumed by
 :func:`repro.sim.state.initial_state`) and a data-region size; the
 simulator's :class:`~repro.sim.state.ProgramOutput` is the wrapper's
-output computation.
+output computation: the final register state plus the raw data region,
+compared byte for byte, with the CRC-64 memory signature computed only
+when asked for.
 """
 
 from __future__ import annotations

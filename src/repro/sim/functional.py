@@ -3,7 +3,7 @@
 Executes a :class:`~repro.isa.program.Program` instruction by
 instruction with full ISA semantics, producing:
 
-* the architectural output (final registers + memory signature) the
+* the architectural output (final registers + the data region) the
   wrapper would emit,
 * a per-instruction trace (:mod:`repro.sim.trace`) consumed by the OoO
   timing model, the coverage metrics and the fault injector,
@@ -24,7 +24,7 @@ from repro.isa.flags import Flags
 from repro.isa.operands import MemOperand
 from repro.isa.program import Program
 from repro.isa.semantics import lookup
-from repro.sim.config import DEFAULT_MACHINE, MachineConfig
+from repro.sim.config import DEFAULT_MACHINE, MachineConfig, MemoryMap
 from repro.sim.errors import (
     AlignmentFault,
     CrashError,
@@ -250,10 +250,28 @@ class ExecContext:
 
 
 class FunctionalSimulator:
-    """Runs programs against a machine configuration."""
+    """Runs programs against a machine configuration.
+
+    The simulator remembers the last initial state it built, keyed by
+    ``(init_seed, memory layout)``, and starts every run from a fresh
+    copy of it.  Repeated runs of one program (fault-injection replays)
+    then pay for a copy instead of rebuilding the seeded state.
+    """
 
     def __init__(self, machine: MachineConfig = DEFAULT_MACHINE):
         self.machine = machine
+        self._template: Optional[
+            Tuple[Tuple[int, MemoryMap], ArchState]
+        ] = None
+
+    def _initial_state(self, seed: int, layout: MemoryMap) -> ArchState:
+        # Key and state live in one attribute, read once, so a run never
+        # pairs one program's key with another's state.
+        template = self._template
+        if template is None or template[0] != (seed, layout):
+            template = ((seed, layout), initial_state(seed, layout))
+            self._template = template
+        return template[1].copy()
 
     def run(
         self,
@@ -265,7 +283,7 @@ class FunctionalSimulator:
         """Execute ``program`` from its deterministic initial state."""
         machine = self.machine.for_program(program.data_size)
         overrides = overrides if overrides is not None else Overrides()
-        state = initial_state(program.init_seed, machine.memory)
+        state = self._initial_state(program.init_seed, machine.memory)
         ctx = ExecContext(state, overrides, collect_records)
         budget = max_dynamic or machine.max_dynamic_instructions
         records: List[InstrRecord] = []

@@ -2,14 +2,16 @@
 
 The wrapper around each generated test (paper §V-D) initializes every
 register and the data region deterministically from a seed, and the
-program's *output* is the final architectural register state plus a
-signature over the accessed memory region.  Both live here.
+program's *output* is the final architectural register state plus the
+raw bytes of the data region.  Outputs compare those bytes directly;
+the wrapper's CRC-64 memory signature is computed only when asked for
+(:attr:`ProgramOutput.memory_signature`).  Both live here.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.isa import registers
@@ -62,13 +64,21 @@ class Memory:
         buffer[offset] ^= xor_mask & 0xFF
 
     def data_bytes(self) -> bytes:
-        """The entire data region (signature input)."""
+        """A copy of the entire data region (the output's memory part)."""
         return bytes(self._data)
 
     def fill_data(self, data: bytes) -> None:
         if len(data) != len(self._data):
             raise ValueError("initializer size mismatch")
         self._data[:] = data
+
+    def copy(self) -> "Memory":
+        """An independent memory with the same layout and contents."""
+        clone = Memory.__new__(Memory)
+        clone.layout = self.layout
+        clone._data = bytearray(self._data)
+        clone._stack = bytearray(self._stack)
+        return clone
 
 
 @dataclass
@@ -82,6 +92,27 @@ class ArchState:
 
     def copy_registers(self) -> "Tuple[Dict[str, int], Dict[str, int]]":
         return dict(self.gprs), dict(self.xmms)
+
+    def copy(self) -> "ArchState":
+        """An independent copy: running on it leaves ``self`` untouched."""
+        gprs, xmms = self.copy_registers()
+        return ArchState(
+            gprs=gprs, xmms=xmms, flags=self.flags.copy(),
+            memory=self.memory.copy(),
+        )
+
+
+def _seeded_bytes(rng: random.Random, size: int) -> bytes:
+    """``size`` successive ``rng.getrandbits(8)`` draws, in one call.
+
+    ``getrandbits(8)`` is the top byte of one 32-bit Mersenne-Twister
+    word, and ``getrandbits(32 * size)`` packs ``size`` such words
+    little-endian, so every fourth byte of it gives the same bytes and
+    leaves ``rng`` in the same state as drawing byte by byte.
+    """
+    if not size:
+        return b""
+    return rng.getrandbits(32 * size).to_bytes(4 * size, "little")[3::4]
 
 
 def initial_state(
@@ -119,18 +150,22 @@ def initial_state(
             value |= lane << (32 * i)
         xmms[reg.name] = value
     memory = Memory(layout)
-    memory.fill_data(bytes(rng.getrandbits(8) for _ in range(layout.data_size)))
+    memory.fill_data(_seeded_bytes(rng, layout.data_size))
     return ArchState(gprs=gprs, xmms=xmms, flags=Flags(), memory=memory)
 
 
 @dataclass(frozen=True)
 class ProgramOutput:
-    """The observable output of a completed run (wrapper output, §V-D)."""
+    """The observable output of a completed run (wrapper output, §V-D).
+
+    Equality compares the registers, RFLAGS and the raw data region, so
+    deciding whether a faulty run deviated costs one byte comparison.
+    """
 
     gprs: Tuple[Tuple[str, int], ...]
     xmms: Tuple[Tuple[str, int], ...]
     rflags: int
-    memory_signature: int
+    data: bytes = field(repr=False)
 
     @classmethod
     def from_state(cls, state: ArchState) -> "ProgramOutput":
@@ -138,8 +173,13 @@ class ProgramOutput:
             gprs=tuple(sorted(state.gprs.items())),
             xmms=tuple(sorted(state.xmms.items())),
             rflags=state.flags.to_rflags(),
-            memory_signature=crc64(state.memory.data_bytes()),
+            data=state.memory.data_bytes(),
         )
+
+    @property
+    def memory_signature(self) -> int:
+        """CRC-64 of the data region: the wrapper's memory signature."""
+        return crc64(self.data)
 
     def signature(self) -> int:
         """Single 64-bit signature over the whole output."""

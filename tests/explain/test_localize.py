@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.explain.localize import fault_site, fault_structure, localize
+from repro.explain.localize import (
+    _corrupted_outputs,
+    fault_site,
+    fault_structure,
+    localize,
+)
 from repro.faults.injector import FaultInjector, campaign_gate_permanent
 from repro.faults.models import (
     CacheTransient,
@@ -12,9 +17,11 @@ from repro.faults.models import (
     RegisterTransient,
 )
 from repro.gatelevel.netlist import StuckAt
-from repro.isa import Program, imm, make, reg
+from repro.isa import Program, imm, make, mem, reg
 from repro.isa.instructions import FUClass
+from repro.sim.cache import residency_intervals
 from repro.sim.cosim import golden_run
+from repro.sim.functional import FunctionalSimulator
 
 
 def _golden(isa, instructions, seed=1):
@@ -130,3 +137,36 @@ class TestLocalize:
         assert faults
         diagnosis = localize(golden, faults[0], max_chain=3)
         assert len(diagnosis.propagation) <= 3
+
+    def test_memory_only_corruption_names_memory(self, isa):
+        data_word = 0x100000 + 128
+        golden = _golden(isa, [
+            make(isa.by_name("mov_m64_r64"), mem("rbp", 128),
+                 reg("rax")),
+        ] + [make(isa.by_name("nop"))] * 20 + [
+            make(isa.by_name("mov_r64_m64"), reg("rbx"), mem("rbp", 128)),
+            make(isa.by_name("mov_r64_imm64"), reg("rbx"), imm(0, 64)),
+        ] + [make(isa.by_name("nop"))] * 5)
+        schedule = golden.schedule
+        interval = next(
+            i for i in residency_intervals(
+                schedule.cache_events, schedule.machine.cache,
+                golden.total_cycles,
+            ) if i.address == data_word - data_word % 64
+        )
+        store_cycle = next(
+            e.cycle for e in schedule.cache_events if e.kind == "store"
+        )
+        fault = CacheTransient(
+            set_index=interval.set_index, way=interval.way,
+            bit_in_line=(128 % 64) * 8, cycle=store_cycle + 1,
+        )
+        injector = FaultInjector(golden)
+        assert injector.inject(fault).outcome.value == "sdc"
+        faulty = FunctionalSimulator(
+            schedule.machine.for_program(golden.program.data_size)
+        ).run(golden.program, injector.last_overrides)
+        assert _corrupted_outputs(
+            golden.result.output, faulty.output
+        ) == ("memory",)
+        assert localize(golden, fault).corrupted_outputs == ("memory",)

@@ -4,7 +4,7 @@
 from repro.faults.injector import FaultInjector, campaign_cache_transient
 from repro.faults.models import CacheTransient
 from repro.faults.outcomes import Outcome
-from repro.isa import Program, make, mem, reg
+from repro.isa import Program, imm, make, mem, reg
 from repro.sim.cache import residency_intervals
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.cosim import golden_run
@@ -121,6 +121,36 @@ class TestCacheTransient:
         )
         # dirty word, no reader: the writeback corrupts the data region
         # and the wrapper's signature flags it.
+        assert result.outcome is Outcome.SDC
+
+    def test_dirty_flip_read_then_dead_is_sdc_via_rerun(self, isa):
+        golden = _golden(isa, [
+            make(isa.by_name("mov_m64_r64"), mem("rbp", 128),
+                 reg("rax")),
+        ] + [make(isa.by_name("nop"))] * 20 + [
+            make(isa.by_name("mov_r64_m64"), reg("rbx"), mem("rbp", 128)),
+            # the loaded (faulty) value dies: only memory can show it
+            make(isa.by_name("mov_r64_imm64"), reg("rbx"), imm(0, 64)),
+        ] + [make(isa.by_name("nop"))] * 5)
+        interval = _locate(golden, 0x100000 + 128)
+        injector = FaultInjector(golden)
+        store_cycle = next(
+            e.cycle for e in golden.schedule.cache_events
+            if e.kind == "store"
+        )
+        result = injector.inject_cache_transient(
+            CacheTransient(
+                set_index=interval.set_index,
+                way=interval.way,
+                bit_in_line=(128 % 64) * 8,
+                cycle=store_cycle + 1,
+            )
+        )
+        overrides = injector.last_overrides
+        # The load saw the flip, so the verdict came from a re-run whose
+        # output differs from the golden one in one data byte only.
+        assert overrides.load_xor
+        assert overrides.final_mem_xor == {0x100000 + 128: 1}
         assert result.outcome is Outcome.SDC
 
     def test_clean_line_fault_with_no_reader_masked(self, isa):

@@ -1,9 +1,13 @@
 """Unit tests for the functional simulator and override machinery."""
 
 
+from dataclasses import replace
+
 from repro.isa import Program, make, mem, reg
+from repro.sim.config import DEFAULT_MACHINE
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.overrides import Overrides
+from repro.sim.state import ProgramOutput, initial_state
 
 
 def _program(isa, instructions, **kwargs):
@@ -198,3 +202,58 @@ class TestOverrides:
         )
         assert faulty.crashed
         assert faulty.crash.kind == "memory_fault"
+
+
+class TestInitialStateTemplate:
+    """Runs on one simulator share a built initial state but never
+    each other's changes to it."""
+
+    @staticmethod
+    def _writer(isa, **kwargs):
+        # Stores to memory, writes registers and flags.
+        return _program(isa, [
+            make(isa.by_name("mov_m64_r64"), mem("rbp", 8), reg("rax")),
+            make(isa.by_name("add_r64_r64"), reg("rax"), reg("rbx")),
+            make(isa.by_name("mov_m64_r64"), mem("rbp", 16), reg("rax")),
+        ], **kwargs)
+
+    @staticmethod
+    def _pristine(program):
+        layout = DEFAULT_MACHINE.for_program(program.data_size).memory
+        return ProgramOutput.from_state(
+            initial_state(program.init_seed, layout)
+        )
+
+    def test_runs_start_from_pristine_state(self, isa):
+        writer = self._writer(isa)
+        nop = _program(isa, [make(isa.by_name("nop"))])
+        sim = FunctionalSimulator()
+        first = sim.run(writer)
+        faulty = sim.run(
+            writer, Overrides(final_mem_xor={0x100000 + 8: 0xFF})
+        )
+        second = sim.run(writer)
+        fresh = FunctionalSimulator().run(writer)
+        assert first.output == second.output == fresh.output
+        assert faulty.output != first.output
+        flipped = [
+            i for i, (a, b) in enumerate(
+                zip(first.output.data, faulty.output.data)
+            ) if a != b
+        ]
+        assert flipped == [8]
+        # A nop run after all of them sees the untouched initial state.
+        assert sim.run(nop).output == self._pristine(nop)
+
+    def test_seed_and_layout_changes_rebuild(self, isa):
+        writer = self._writer(isa)
+        programs = [
+            writer,
+            replace(writer, init_seed=2),
+            replace(writer, data_size=2048),
+            writer,
+        ]
+        sim = FunctionalSimulator()
+        for program in programs:
+            assert sim.run(program).output == \
+                FunctionalSimulator().run(program).output

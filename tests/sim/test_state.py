@@ -1,7 +1,10 @@
 """Unit tests for memory, initial state and program outputs."""
 
+import random
+
 import pytest
 
+from repro.sim import state as state_module
 from repro.sim.config import MemoryMap
 from repro.sim.errors import MemoryFault
 from repro.sim.state import (
@@ -9,6 +12,12 @@ from repro.sim.state import (
     ProgramOutput,
     initial_state,
 )
+from repro.util.checksum import crc64
+
+
+def _per_byte_fill(rng, size):
+    """The byte-at-a-time data fill: the reference the fast fill keeps."""
+    return bytes(rng.getrandbits(8) for _ in range(size))
 
 
 @pytest.fixture
@@ -79,6 +88,18 @@ class TestInitialState:
         state = initial_state(0, layout)
         assert state.gprs["rsp"] == layout.stack_end
 
+    def test_copy_is_independent(self, layout):
+        template = initial_state(3, layout)
+        pristine = ProgramOutput.from_state(template)
+        copy = template.copy()
+        copy.gprs["rax"] ^= 1
+        copy.xmms["xmm0"] ^= 1
+        copy.flags.cf = 1
+        copy.memory.xor_byte(layout.data_base, 0xFF)
+        copy.memory.write(layout.stack_base, 64, 7)
+        assert ProgramOutput.from_state(template) == pristine
+        assert template.memory.read(layout.stack_base, 64) == 0
+
     def test_xmm_lanes_are_finite_floats(self, layout):
         import struct
 
@@ -91,6 +112,30 @@ class TestInitialState:
                 )[0]
                 assert lane_value == lane_value  # not NaN
                 assert abs(lane_value) < float("inf")
+
+
+class TestSeededFill:
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 2048, 32768])
+    def test_matches_per_byte_fill(self, size):
+        for seed in range(200):
+            fast, reference = random.Random(seed), random.Random(seed)
+            assert state_module._seeded_bytes(fast, size) == \
+                _per_byte_fill(reference, size)
+            assert fast.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("data_size", [0, 1, 7, 4096, 32768])
+    def test_initial_state_matches_per_byte_fill(
+        self, data_size, monkeypatch
+    ):
+        layout = MemoryMap(data_size=data_size)
+        fast = [initial_state(seed, layout) for seed in (0, 1, 99)]
+        monkeypatch.setattr(state_module, "_seeded_bytes", _per_byte_fill)
+        for seed, state in zip((0, 1, 99), fast):
+            reference = initial_state(seed, layout)
+            assert state.gprs == reference.gprs
+            assert state.xmms == reference.xmms
+            assert state.memory.data_bytes() == \
+                reference.memory.data_bytes()
 
 
 class TestProgramOutput:
@@ -114,3 +159,17 @@ class TestProgramOutput:
         state.memory.xor_byte(layout.data_base + 100, 0x80)
         b = ProgramOutput.from_state(state)
         assert a.memory_signature != b.memory_signature
+
+    def test_memory_signature_is_crc_of_data(self, layout):
+        state = initial_state(1, layout)
+        output = ProgramOutput.from_state(state)
+        assert output.data == state.memory.data_bytes()
+        assert output.memory_signature == crc64(output.data)
+
+    def test_one_byte_flip_breaks_equality(self, layout):
+        state = initial_state(1, layout)
+        a = ProgramOutput.from_state(state)
+        state.memory.xor_byte(layout.data_end - 1, 0x01)
+        b = ProgramOutput.from_state(state)
+        assert a.gprs == b.gprs and a.rflags == b.rflags
+        assert a != b
