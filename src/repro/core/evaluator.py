@@ -200,37 +200,34 @@ class EvalHealth:
         return text
 
 
-def _evaluate_one(args) -> EvaluatedProgram:
+#: Phases a grade's layer seconds are charged to, in tuple order.
+LAYER_PHASES = ("sim_functional", "sim_timing", "coverage_metric")
+
+
+def _evaluate_one(args) -> tuple:
     """Module-level worker (picklable for process pools).
 
+    Returns the lean grade ``(fitness, total_cycles, crashed, seconds)``
+    where ``seconds`` times the functional pass, the timing pass and
+    the metric (see :data:`LAYER_PHASES`).  The program does not travel
+    back: the caller reattaches its own.
+
     Architectural crashes (:class:`CrashError`) are legitimate program
-    outcomes and become ``crashed=True`` records; any other exception
+    outcomes and become ``crashed=True`` grades; any other exception
     propagates to the pool layer, which quarantines the candidate.
     """
     program, metric, machine = args
     try:
-        # Fine-grained sim/metric phases (trace=False: per-candidate
-        # spans would swamp the JSONL log).  Only the inline path
-        # records — pool subprocesses have observability disabled.
-        with obs.phase("sim_golden_run", trace=False):
-            golden = golden_run(program, machine)
+        golden = golden_run(program, machine)
     except CrashError:
-        return EvaluatedProgram(
-            program=program,
-            fitness=0.0,
-            total_cycles=0,
-            crashed=True,
-            error_kind=None,
-            attempts=1,
-        )
-    with obs.phase("coverage_metric", trace=False):
-        fitness = metric(golden)
-    return EvaluatedProgram(
-        program=program,
-        fitness=fitness,
-        total_cycles=golden.total_cycles,
-        crashed=golden.crashed,
+        return 0.0, 0, True, (0.0, 0.0, 0.0)
+    started = time.perf_counter()
+    fitness = metric(golden)
+    seconds = (
+        golden.functional_s, golden.timing_s,
+        time.perf_counter() - started,
     )
+    return fitness, golden.total_cycles, golden.crashed, seconds
 
 
 class Evaluator:
@@ -249,7 +246,8 @@ class Evaluator:
     so cached and uncached runs report identical health digests.
     """
 
-    #: The picklable per-candidate worker.  Subclasses (e.g. fault-
+    #: The picklable per-candidate worker, returning
+    #: :func:`_evaluate_one`'s lean grade.  Subclasses (e.g. fault-
     #: injecting test doubles) may override it together with ``_jobs``;
     #: it must stay a module-level function so process pools can ship
     #: it to workers.
@@ -530,7 +528,8 @@ class Evaluator:
 
     def _jobs(self, programs: Sequence[Program]) -> List[tuple]:
         """One picklable argument tuple per candidate; the first
-        element must be the program (used for quarantine records)."""
+        element must be the program (reattached to its grade, and named
+        in quarantine records)."""
         return [
             (program, self.metric, self.machine) for program in programs
         ]
@@ -539,7 +538,7 @@ class Evaluator:
         program = job[0]
         started = time.perf_counter()
         try:
-            return self.worker_fn(job)
+            grade = self.worker_fn(job)
         except Exception as exc:
             return self._quarantine(
                 program,
@@ -554,6 +553,23 @@ class Evaluator:
                     time.perf_counter() - started,
                     "Per-candidate evaluation wall-clock",
                 )
+        return self._graded(program, grade, attempts=1)
+
+    @staticmethod
+    def _graded(program: Program, grade, attempts: int) -> EvaluatedProgram:
+        """Reattach the caller's own program to a worker's lean grade,
+        charging the grade's layer seconds to their phases."""
+        fitness, total_cycles, crashed, seconds = grade
+        if obs.enabled():
+            for phase, phase_seconds in zip(LAYER_PHASES, seconds):
+                obs.add_phase_time(phase, phase_seconds)
+        return EvaluatedProgram(
+            program=program,
+            fitness=fitness,
+            total_cycles=total_cycles,
+            crashed=crashed,
+            attempts=attempts,
+        )
 
     def _from_outcome(
         self, outcome: TaskOutcome, program: Program
@@ -568,9 +584,7 @@ class Evaluator:
         if outcome.where == "inline":
             self._health.fallback_inline += 1
         if outcome.ok:
-            evaluated: EvaluatedProgram = outcome.value
-            evaluated.attempts = outcome.attempts
-            return evaluated
+            return self._graded(program, outcome.value, outcome.attempts)
         if outcome.status == STATUS_TIMED_OUT:
             self._health.timeouts += 1
             kind = "timeout"

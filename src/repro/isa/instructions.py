@@ -20,7 +20,7 @@ Definitions carry everything the rest of the system needs:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Tuple
 
 from repro.isa.operands import (
@@ -170,8 +170,28 @@ class InstructionDef:
     def is_branch(self) -> bool:
         return self.fu_class is FUClass.BRANCH
 
+    def __reduce__(self):
+        # A definition of the shared x64 ISA pickles as a lookup by
+        # name, so the unpickled one is the ISA's own object (and dict
+        # probes keyed on it stay identity hits); any other definition
+        # pickles by value.
+        from repro.isa.isa_x64 import x64  # isa_x64 imports this module
+
+        if x64()._by_name.get(self.name) is self:
+            return _x64_definition, (self.name,)
+        return InstructionDef, tuple(
+            getattr(self, spec.name) for spec in fields(self)
+        )
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
+
+
+def _x64_definition(name: str) -> InstructionDef:
+    """Unpickle a definition of the shared x64 ISA by name."""
+    from repro.isa.isa_x64 import x64
+
+    return x64().by_name(name)
 
 
 @dataclass(frozen=True)
@@ -195,6 +215,9 @@ class Instruction:
                     f"of {self.definition.name}"
                 )
 
+    def __reduce__(self):
+        return _restore_instruction, (self.definition, self.operands)
+
     @property
     def mnemonic(self) -> str:
         return self.definition.mnemonic
@@ -208,6 +231,16 @@ class Instruction:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.to_asm()
+
+
+def _restore_instruction(
+    definition: InstructionDef, operands: Tuple[Operand, ...]
+) -> Instruction:
+    """Unpickle an instruction without re-checking its operands: they
+    were checked when the pickled instruction was built."""
+    instruction = object.__new__(Instruction)
+    instruction.__dict__.update(definition=definition, operands=operands)
+    return instruction
 
 
 def make(definition: InstructionDef, *operands: Operand) -> Instruction:

@@ -5,6 +5,9 @@ specs* (what kind of operand each slot accepts); an instruction
 *instance* carries concrete :class:`Operand` values that satisfy those
 specs.  This split mirrors MicroProbe's separation of the architecture
 module (types) from the code generation module (values).
+
+Operand values pickle as their positional arguments (registers inside
+them as registry lookups), which keeps a pickled program small.
 """
 
 from __future__ import annotations
@@ -53,6 +56,9 @@ class RegOperand:
 
     reg: Register
 
+    def __reduce__(self):
+        return RegOperand, (self.reg,)
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.reg.name
 
@@ -66,6 +72,9 @@ class ImmOperand:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", to_unsigned(self.value, self.width))
+
+    def __reduce__(self):
+        return ImmOperand, (self.value, self.width)
 
     @property
     def signed(self) -> int:
@@ -94,6 +103,9 @@ class MemOperand:
         if self.base is not None and self.base.reg_class is not RegClass.GPR:
             raise ValueError("memory base must be a GPR")
 
+    def __reduce__(self):
+        return MemOperand, (self.base, self.displacement)
+
     @property
     def rip_relative(self) -> bool:
         return self.base is None
@@ -111,6 +123,9 @@ class RelOperand:
     paths coincide (§V-D)."""
 
     displacement: int
+
+    def __reduce__(self):
+        return RelOperand, (self.displacement,)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f".{self.displacement:+d}"

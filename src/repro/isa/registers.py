@@ -6,6 +6,8 @@ sixteen 128-bit XMM (SSE) registers, the RFLAGS condition bits and RIP.
 
 Registers are interned: looking a name up always returns the same
 :class:`Register` object, so identity comparison is safe everywhere.
+They pickle by name, so an unpickled register is the interned object
+too.
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ class Register:
     index: int
     reg_class: RegClass
     width: int
+
+    def __reduce__(self):
+        # The interned register pickles as a lookup by name; any other
+        # (hand-made) register pickles by value.
+        if _REGISTRY.get(self.name) is self:
+            return by_name, (self.name,)
+        return Register, (self.name, self.index, self.reg_class, self.width)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name

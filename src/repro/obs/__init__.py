@@ -238,21 +238,24 @@ class _PhaseTimer:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        elapsed = time.perf_counter() - self.started
-        registry = _state.registry
-        registry.counter(
-            "repro_phase_seconds_total",
-            "Cumulative wall-clock per loop phase",
-            ("phase",),
-        ).labels(phase=self.name).inc(elapsed)
-        registry.counter(
-            "repro_phase_calls_total",
-            "Times each loop phase ran",
-            ("phase",),
-        ).labels(phase=self.name).inc()
+        _add_phase(self.name, time.perf_counter() - self.started)
         if self._span is not None:
             self._span.__exit__(exc_type, exc, tb)
         return False
+
+
+def _add_phase(name: str, seconds: float) -> None:
+    registry = _state.registry
+    registry.counter(
+        "repro_phase_seconds_total",
+        "Cumulative wall-clock per loop phase",
+        ("phase",),
+    ).labels(phase=name).inc(seconds)
+    registry.counter(
+        "repro_phase_calls_total",
+        "Times each loop phase ran",
+        ("phase",),
+    ).labels(phase=name).inc()
 
 
 def phase(name: str, trace: bool = True):
@@ -267,6 +270,14 @@ def phase(name: str, trace: bool = True):
     if not _state.enabled:
         return NULL_CONTEXT
     return _PhaseTimer(name, trace)
+
+
+def add_phase_time(name: str, seconds: float) -> None:
+    """Charge ``seconds`` timed elsewhere (e.g. in a pool worker, where
+    observability is off) to a phase, as one :func:`phase` call would;
+    no-op unless enabled."""
+    if _state.enabled:
+        _add_phase(name, seconds)
 
 
 def histogram_snapshot(name: str) -> Optional[HistogramSnapshot]:

@@ -9,7 +9,8 @@ gem5-style observability the paper builds on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.isa.program import Program
@@ -25,6 +26,11 @@ class GoldenRun:
     program: Program
     result: RunResult
     schedule: Schedule
+    #: Seconds the functional and the timing pass took (telemetry: the
+    #: evaluator charges them to its ``sim_functional`` and
+    #: ``sim_timing`` phases).
+    functional_s: float = field(default=0.0, compare=False)
+    timing_s: float = field(default=0.0, compare=False)
 
     @property
     def crashed(self) -> bool:
@@ -47,8 +53,16 @@ def golden_run(
     out before grading, as SiliFuzz does with its snapshots.
     """
     machine = machine.for_program(program.data_size)
+    started = time.perf_counter()
     result = FunctionalSimulator(machine).run(
         program, collect_records=True, max_dynamic=max_dynamic
     )
+    functional_done = time.perf_counter()
     schedule = TimingModel(machine).schedule(result.records)
-    return GoldenRun(program=program, result=result, schedule=schedule)
+    return GoldenRun(
+        program=program,
+        result=result,
+        schedule=schedule,
+        functional_s=functional_done - started,
+        timing_s=time.perf_counter() - functional_done,
+    )

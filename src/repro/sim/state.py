@@ -115,9 +115,7 @@ def _seeded_bytes(rng: random.Random, size: int) -> bytes:
     return rng.getrandbits(32 * size).to_bytes(4 * size, "little")[3::4]
 
 
-def initial_state(
-    seed: int, layout: MemoryMap, *, zero_fp: bool = False
-) -> ArchState:
+def initial_state(seed: int, layout: MemoryMap) -> ArchState:
     """Build the wrapper's deterministic initial state.
 
     * every allocatable GPR gets a seeded 64-bit pseudo-random value,
@@ -125,7 +123,7 @@ def initial_state(
       operands are ``rbp + displacement``),
     * RSP is pointed at the top of the stack region,
     * XMM registers get seeded pseudo-random *finite float* lane values
-      (or zero with ``zero_fp``) so FP ops start from sane numbers,
+      so FP ops start from sane numbers,
     * the data region is filled with seeded pseudo-random bytes.
     """
     rng = random.Random((seed * 2654435761) % (1 << 64) + 1)
@@ -134,9 +132,6 @@ def initial_state(
     gprs["rsp"] = layout.stack_end
     xmms: Dict[str, int] = {}
     for reg in registers.XMM:
-        if zero_fp:
-            xmms[reg.name] = 0
-            continue
         lanes = []
         for _ in range(4):
             # Biased-exponent floats in a moderate range: finite,
@@ -188,6 +183,3 @@ class ProgramOutput:
         values.append(self.rflags & MASK64)
         values.append(self.memory_signature)
         return fold_output_signature(values)
-
-    def differs_from(self, other: "ProgramOutput") -> bool:
-        return self != other

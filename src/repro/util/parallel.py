@@ -4,17 +4,14 @@ The paper's setup evaluates each generation's programs in parallel
 across 96 hardware threads (§VI-B1: "Harpocrates exploits the full
 parallelism of any CPU configuration").  A long campaign at that scale
 cannot afford to die because one candidate wedges a worker or a process
-segfaults, so the pool here is built around failure isolation:
-
-* :func:`map_parallel` — the simple order-preserving map the small
-  experiment paths use (``workers <= 1`` stays in-process),
-* :class:`ResilientPool` — the campaign-grade pool: per-task wall-clock
-  timeouts that kill wedged workers, bounded retry with exponential
-  backoff, automatic respawn after a ``BrokenProcessPool``, and a
-  graceful fallback to in-process execution when the pool is
-  irrecoverable.  Every task resolves to a :class:`TaskOutcome` rather
-  than raising, so one misbehaving candidate costs one task, never the
-  campaign.
+segfaults, so :class:`ResilientPool` is built around failure isolation:
+per-task wall-clock timeouts that kill wedged workers, bounded retry
+with exponential backoff, automatic respawn after a
+``BrokenProcessPool``, and a graceful fallback to in-process execution
+when the pool is irrecoverable.  Every task resolves to a
+:class:`TaskOutcome` rather than raising, so one misbehaving candidate
+costs one task, never the campaign.  Results are collected in the order
+tasks finish, so no worker idles behind a slower one.
 """
 
 from __future__ import annotations
@@ -25,10 +22,11 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import (
+    FIRST_COMPLETED,
     BrokenExecutor,
     Future,
     ProcessPoolExecutor,
-    TimeoutError as FuturesTimeoutError,
+    wait,
 )
 from dataclasses import dataclass
 from typing import (
@@ -39,13 +37,9 @@ from typing import (
     List,
     Optional,
     Sequence,
-    TypeVar,
 )
 
 from repro import obs
-
-ItemT = TypeVar("ItemT")
-ResultT = TypeVar("ResultT")
 
 #: Terminal task states (:attr:`TaskOutcome.status` values).
 STATUS_OK = "ok"
@@ -68,24 +62,6 @@ def clamp_workers(workers: Optional[int], items: Optional[int] = None) -> int:
     if items is not None:
         count = min(count, max(int(items), 1))
     return count
-
-
-def map_parallel(
-    fn: Callable[[ItemT], ResultT],
-    items: Sequence[ItemT],
-    workers: int = 1,
-) -> List[ResultT]:
-    """Map ``fn`` over ``items``, optionally across processes.
-
-    ``fn`` and every item must be picklable when ``workers > 1``.
-    Result order matches input order either way.  Exceptions propagate;
-    use :class:`ResilientPool` when failures must be isolated.
-    """
-    workers = clamp_workers(workers, len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -329,18 +305,23 @@ class ResilientPool:
                         executor, workers, respawns_at_start
                     )
                     continue
-                future = order[0]
-                task = inflight[future]
+                # Collect by completion: a worker that finishes early
+                # is refilled at once instead of idling behind the
+                # head.  The head is the oldest submission, so its
+                # budget runs out first.
                 budget = None
                 if self.timeout is not None:
                     budget = max(
-                        0.0, task.submitted + self.timeout - time.monotonic()
+                        0.0,
+                        inflight[order[0]].submitted + self.timeout
+                        - time.monotonic(),
                     )
-                try:
-                    value = future.result(budget)
-                except FuturesTimeoutError:
+                done, _ = wait(order, budget, FIRST_COMPLETED)
+                if not done:
                     # The head overran its own budget, so the charge is
                     # exact; unfinished siblings are innocent bystanders.
+                    future = order[0]
+                    task = inflight[future]
                     self._drop(future, inflight, order)
                     bystanders = self._harvest(inflight, order, outcomes,
                                                pending)
@@ -353,44 +334,29 @@ class ResilientPool:
                         error=f"exceeded {self.timeout:.3f}s wall-clock budget",
                         error_type="TimeoutError",
                     )
-                except BrokenExecutor as exc:
-                    # Every unfinished future fails when a worker dies,
-                    # so the head is not necessarily the culprit.
+                    continue
+                for future in [f for f in order if f in done]:
+                    task = inflight[future]
                     self._drop(future, inflight, order)
-                    bystanders = self._harvest(inflight, order, outcomes,
-                                               pending)
-                    executor = self._respawn(
-                        executor, workers, respawns_at_start
-                    )
-                    if bystanders and executor is not None:
-                        # Ambiguous: re-run every unfinished task alone,
-                        # uncharged, until the crash repeats on one.
-                        suspects = [task] + bystanders
-                        for suspect in suspects:
-                            suspect.suspect = True
-                        pending.extendleft(reversed(suspects))
-                        continue
-                    # One task unfinished: the crash is its own.  (With
-                    # the budget spent the suspects cannot be isolated,
-                    # and the head stays the best guess.)
-                    pending.extendleft(reversed(bystanders))
-                    self._finish_or_retry(
-                        task, STATUS_CRASHED, pending, outcomes,
-                        error=str(exc) or "worker process died",
-                        error_type=type(exc).__name__,
-                    )
-                except Exception as exc:  # fn raised inside the worker
-                    self._drop(future, inflight, order)
-                    self._finish_or_retry(
-                        task, STATUS_ERRORED, pending, outcomes,
-                        error=str(exc), error_type=type(exc).__name__,
-                        exception=exc, finished=_done_at(future),
-                    )
-                else:
-                    self._drop(future, inflight, order)
-                    self._record_ok(
-                        task, value, outcomes, _done_at(future)
-                    )
+                    exc = future.exception()
+                    if isinstance(exc, BrokenExecutor):
+                        executor = self._crashed(
+                            task, exc, executor, workers, inflight, order,
+                            outcomes, pending, respawns_at_start,
+                        )
+                        # The crash harvested every other future.
+                        break
+                    if exc is not None:  # fn raised inside the worker
+                        self._finish_or_retry(
+                            task, STATUS_ERRORED, pending, outcomes,
+                            error=str(exc), error_type=type(exc).__name__,
+                            exception=exc, finished=_done_at(future),
+                        )
+                    else:
+                        self._record_ok(
+                            task, future.result(), outcomes,
+                            _done_at(future),
+                        )
         except BaseException:
             # Abnormal exit (e.g. KeyboardInterrupt): don't leave live
             # worker processes behind an abandoned generation.
@@ -398,6 +364,43 @@ class ResilientPool:
                 self._retire(executor)
             raise
         # Normal exit: the executor stays warm for the next map() call.
+
+    def _crashed(
+        self,
+        task: _Task,
+        exc: BaseException,
+        executor: ProcessPoolExecutor,
+        workers: int,
+        inflight: Dict[Any, _Task],
+        order: Deque[Any],
+        outcomes: List[Optional[TaskOutcome]],
+        pending: Deque[_Task],
+        respawns_at_start: int,
+    ) -> Optional[ProcessPoolExecutor]:
+        """A worker died while ``task`` (already dropped from the
+        in-flight set) was unfinished.  Every unfinished future fails
+        when a worker dies, so ``task`` is not necessarily the culprit.
+        Returns the respawned executor (``None``: degrade)."""
+        bystanders = self._harvest(inflight, order, outcomes, pending)
+        executor = self._respawn(executor, workers, respawns_at_start)
+        if bystanders and executor is not None:
+            # Ambiguous: re-run every unfinished task alone, uncharged,
+            # until the crash repeats on one.
+            suspects = [task] + bystanders
+            for suspect in suspects:
+                suspect.suspect = True
+            pending.extendleft(reversed(suspects))
+            return executor
+        # One task unfinished: the crash is its own.  (With the budget
+        # spent the suspects cannot be isolated, and ``task`` stays the
+        # best guess.)
+        pending.extendleft(reversed(bystanders))
+        self._finish_or_retry(
+            task, STATUS_CRASHED, pending, outcomes,
+            error=str(exc) or "worker process died",
+            error_type=type(exc).__name__,
+        )
+        return executor
 
     def _lease_executor(self, workers: int) -> ProcessPoolExecutor:
         """The persistent executor, (re)created on demand.

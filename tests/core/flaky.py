@@ -1,10 +1,10 @@
 """Deterministic fault-injecting evaluator doubles.
 
-Used by the resilience tests to assert retry, timeout, quarantine, and
-resume behavior end to end.  Both doubles subclass the real
-:class:`~repro.core.evaluator.Evaluator` — they reuse its pool,
-quarantine, and health machinery and only swap the per-candidate worker
-for one that misbehaves on schedule.
+Used by the resilience and fleet tests to assert retry, timeout,
+quarantine, straggler and resume behavior end to end.  The doubles
+subclass the real :class:`~repro.core.evaluator.Evaluator` — they
+reuse its pool, quarantine, and health machinery and only swap the
+per-candidate worker for one that misbehaves on schedule.
 
 Fault schedules are pure functions of the candidate's *name* (via
 CRC32), so a given population always produces the same failures — in
@@ -132,3 +132,37 @@ class TransientEvaluator(Evaluator):
             )
             for program in programs
         ]
+
+
+def _slow_evaluate_one(args):
+    program, metric, machine, delay = args
+    time.sleep(delay)
+    return _evaluate_one((program, metric, machine))
+
+
+class SlowEvaluator(Evaluator):
+    """Evaluator double that sleeps before every evaluation —
+    turns the host it runs on into a straggler."""
+
+    worker_fn = staticmethod(_slow_evaluate_one)
+
+    def __init__(self, *args, delay: float = 5.0, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.delay = delay
+
+    def _jobs(self, programs):
+        return [
+            (program, self.metric, self.machine, self.delay)
+            for program in programs
+        ]
+
+
+def slow_factory(delay):
+    """A ``WorkerServer`` evaluator factory making that host slow."""
+    def factory(spec, slots, eval_timeout, max_retries):
+        return SlowEvaluator(
+            spec.metric, spec.machine, workers=slots,
+            eval_timeout=eval_timeout, max_retries=max_retries,
+            delay=delay,
+        )
+    return factory

@@ -19,9 +19,14 @@ from repro.core.targets import scaled_targets
 from repro.dist.evaluator import DistributedEvaluator
 from repro.dist.worker import WorkerServer
 from repro.testing.chaos import FAULTS, ChaosProxy, FaultPlan
+from tests.core.flaky import slow_factory
 
 SCALES = (0.03, 0.008)
 TARGET_KEY = "int_adder"
+#: Seconds the extra clean worker sleeps per evaluation.  The coordinator
+#: hands it one batch per generation, which it holds this long, so the
+#: proxied worker carries the rest of the generation's batches.
+CLEAN_WORKER_DELAY = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -119,13 +124,20 @@ class TestFaultedTransport:
         population_size=10, **overrides,
     ):
         """Shared harness: rank ``generations`` populations through a
-        chaotic proxy and require byte-identical outcomes."""
+        chaotic proxy and require byte-identical outcomes.
+
+        The extra clean worker, there to absorb what a torn connection
+        loses, is slow: a fast one would take most batches, leaving
+        the proxied connection inside its handshake grace."""
         worker = WorkerServer(slots=2).start()
         proxy = ChaosProxy(("127.0.0.1", worker.port), plan).start()
         endpoints = [("127.0.0.1", proxy.port)]
         clean = None
         if extra_clean_worker:
-            clean = WorkerServer(slots=2).start()
+            clean = WorkerServer(
+                slots=2,
+                evaluator_factory=slow_factory(CLEAN_WORKER_DELAY),
+            ).start()
             endpoints.append(("127.0.0.1", clean.port))
         generator = Generator(spec.generation)
         populations = [
@@ -165,15 +177,20 @@ class TestFaultedTransport:
         )
         assert proxy.counters["duplicate"] >= 1
 
+    # On the first proxied connection these schedules fault no frame
+    # before result frame 7-9 (batch 6-8 after the two handshake
+    # frames), so four generations give the proxied worker up to 16
+    # batches to reach one.
+
     def test_survives_garbage_bodies(self, spec):
         proxy = self._assert_chaotic_rank_matches_local(
-            spec, FaultPlan(seed=5, garbage=0.25)
+            spec, FaultPlan(seed=5, garbage=0.25), generations=4
         )
         assert proxy.counters["garbage"] >= 1
 
     def test_survives_mid_frame_truncation(self, spec):
         proxy = self._assert_chaotic_rank_matches_local(
-            spec, FaultPlan(seed=23, truncate=0.25)
+            spec, FaultPlan(seed=23, truncate=0.25), generations=4
         )
         assert proxy.counters["truncate"] >= 1
 
@@ -182,6 +199,7 @@ class TestFaultedTransport:
             spec,
             FaultPlan(seed=2, drop=0.2),
             steal=True, steal_delay=0.3,
+            generations=4,
         )
         assert proxy.counters["drop"] >= 1
 

@@ -9,20 +9,15 @@ the same ranking a local run would produce.
 """
 
 import threading
-import time
 
 import pytest
 
-from repro.core.evaluator import (
-    QUARANTINE_FITNESS,
-    Evaluator,
-    _evaluate_one,
-)
+from repro.core.evaluator import QUARANTINE_FITNESS, Evaluator
 from repro.core.generator import Generator
 from repro.core.targets import scaled_targets
 from repro.dist.evaluator import DistributedEvaluator
 from repro.dist.worker import WorkerServer
-from tests.core.flaky import FlakyEvaluator
+from tests.core.flaky import FlakyEvaluator, slow_factory
 
 SCALES = (0.03, 0.008)
 TARGET_KEY = "int_adder"
@@ -31,39 +26,6 @@ TARGET_KEY = "int_adder"
 @pytest.fixture(scope="module")
 def spec():
     return scaled_targets(*SCALES)[TARGET_KEY]
-
-
-def _slow_evaluate_one(args):
-    program, metric, machine, delay = args
-    time.sleep(delay)
-    return _evaluate_one((program, metric, machine))
-
-
-class SlowEvaluator(Evaluator):
-    """Evaluator double that sleeps before every evaluation —
-    turns the host it runs on into a straggler."""
-
-    worker_fn = staticmethod(_slow_evaluate_one)
-
-    def __init__(self, *args, delay: float = 5.0, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.delay = delay
-
-    def _jobs(self, programs):
-        return [
-            (program, self.metric, self.machine, self.delay)
-            for program in programs
-        ]
-
-
-def slow_factory(delay):
-    def factory(spec, slots, eval_timeout, max_retries):
-        return SlowEvaluator(
-            spec.metric, spec.machine, workers=slots,
-            eval_timeout=eval_timeout, max_retries=max_retries,
-            delay=delay,
-        )
-    return factory
 
 
 def flaky_factory(fail_pct):

@@ -1,36 +1,7 @@
-"""Tests for the parallel map helper and table formatting."""
+"""Tests for pooled evaluation and table formatting."""
 
 
-from repro.util.parallel import map_parallel
 from repro.util.tables import format_table
-
-
-def _square(x):
-    return x * x
-
-
-class TestMapParallel:
-    def test_sequential_path(self):
-        assert map_parallel(_square, [1, 2, 3], workers=1) == [1, 4, 9]
-
-    def test_order_preserved_parallel(self):
-        result = map_parallel(_square, list(range(12)), workers=2)
-        assert result == [i * i for i in range(12)]
-
-    def test_single_item_stays_inline(self):
-        assert map_parallel(_square, [7], workers=8) == [49]
-
-    def test_empty(self):
-        assert map_parallel(_square, [], workers=4) == []
-
-    def test_negative_workers_behave_like_one(self):
-        assert map_parallel(_square, [1, 2, 3], workers=-8) == [1, 4, 9]
-
-    def test_oversized_worker_request_is_clamped(self):
-        # More workers than items (and than most machines have cores):
-        # must not over-spawn, and results stay correct and ordered.
-        result = map_parallel(_square, list(range(4)), workers=10_000)
-        assert result == [i * i for i in range(4)]
 
 
 class TestEvaluatorParallel:

@@ -442,3 +442,53 @@ class TestTaskOutcome:
         assert slow.ok and fast.ok
         assert slow.duration >= 1.0
         assert fast.duration < 0.5 * slow.duration
+
+
+needs_two_cpus = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2,
+    reason="collection order needs two pool workers",
+)
+
+
+class TestCompletionOrder:
+    """Results are collected as tasks finish, not in submission order,
+    so a worker that finishes early is refilled instead of idling
+    behind a slow head."""
+
+    @needs_two_cpus
+    def test_short_tasks_collected_before_a_slow_head(self):
+        pool = ResilientPool(workers=2)
+        collected = []
+        record_ok = pool._record_ok
+
+        def recording(task, value, outcomes, finished=None):
+            collected.append(task.index)
+            record_ok(task, value, outcomes, finished)
+
+        pool._record_ok = recording
+        try:
+            outcomes = pool.map(_sleep_for, [0.5, 0.0, 0.0, 0.0, 0.0])
+        finally:
+            pool.close()
+        assert all(o.ok for o in outcomes)
+        assert [o.value for o in outcomes] == [0.5, 0.0, 0.0, 0.0, 0.0]
+        assert collected == [1, 2, 3, 4, 0]
+        head = outcomes[0]
+        assert head.duration >= 0.5
+        assert all(o.duration < 0.5 * head.duration for o in outcomes[1:])
+
+    @needs_two_cpus
+    def test_timeout_runs_from_the_tasks_own_submission(self):
+        """Task 1 hangs while the head runs 0.8 s of its 1 s budget;
+        it times out 1 s after its own submission, not 1 s after it
+        became the head."""
+        pool = ResilientPool(workers=2, timeout=1.0)
+        try:
+            outcomes = pool.map(_sleep_for, [0.8, 60.0, 0.0, 0.0])
+        finally:
+            pool.close()
+        assert outcomes[1].status == STATUS_TIMED_OUT
+        assert [outcomes[i].status for i in (0, 2, 3)] == [STATUS_OK] * 3
+        assert 1.0 <= outcomes[1].duration < 1.6
+        assert pool.respawns == 1
+
