@@ -3,7 +3,9 @@
 Reproduced claim: Harpocrates' valid-by-construction pipeline generates
 and evaluates runnable instructions at a large multiple of the byte-
 fuzzing pipeline's rate (paper: 30×), because the fuzzer discards the
-majority of its inputs (paper: >2/3).
+majority of its inputs (paper: >2/3).  Harpocrates' rate is one loop
+iteration's instructions over its ``mutate`` / ``generate`` /
+``evaluate`` observability phases (``experiments.table1``).
 """
 
 from repro.experiments.genrate import run as run_genrate

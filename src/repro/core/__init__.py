@@ -23,7 +23,7 @@ from repro.core.loop import (
     LoopConfig,
     LoopResult,
 )
-from repro.core.manager import LoopStepTiming, Manager
+from repro.core.manager import Manager
 from repro.core.mutator import (
     Genome,
     InstructionReplacementMutator,
@@ -57,7 +57,6 @@ __all__ = [
     "IterationStats",
     "LoopConfig",
     "LoopResult",
-    "LoopStepTiming",
     "Manager",
     "Genome",
     "InstructionReplacementMutator",

@@ -5,11 +5,10 @@ generations at 96-way parallelism (§VI-B1).  A run that dies at
 iteration 49 of 50 must not lose everything, so the loop serializes its
 complete resumable state after each iteration:
 
-* the **population** as policy-aware genome records (a program is
-  reconstructed either by re-running constrained-random generation
-  under its recorded seed, or by realizing its genome through the
-  sequence policy — whichever produced it, so restoration is
-  bit-exact),
+* the **population** as program records
+  (:func:`repro.isa.encoding.program_record`: the encoded instruction
+  bytes, so restoration is exact for any program, generated or not)
+  each with the genome the mutator rewrites,
 * the **RNG state** of the loop's ``random.Random``,
 * the **history** of :class:`~repro.core.loop.IterationStats`,
 * the current **elite** with its fitnesses, the convergence
@@ -34,13 +33,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.errors import CheckpointCorruptError, CheckpointError
 from repro.core.evaluator import EvaluatedProgram, EvalHealth
 from repro.core.generator import Generator
+from repro.isa.encoding import program_from_record, program_record
 from repro.isa.program import Program
 from repro.util.statefile import payload_checksum, quarantine_file
 
 logger = logging.getLogger("repro.checkpoint")
 
 #: Bump when the on-disk schema changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: File-name template for per-iteration checkpoints within a directory.
 CHECKPOINT_NAME = "checkpoint_{iteration:06d}.json"
@@ -98,43 +98,31 @@ def evalcache_path(path: str) -> str:
 # -- program records ---------------------------------------------------------
 
 
-def encode_program(program: Program) -> Dict[str, object]:
-    """A JSON-safe, reconstructible record of one population member."""
-    genome = program.metadata.get("genome")
-    if genome is None:
-        genome = tuple(
-            instruction.definition.name
-            for instruction in program.instructions
-        )
-    return {
-        "name": program.name,
-        "seed": program.init_seed,
-        "policy": str(program.metadata.get("policy", "sequence_import")),
-        "genome": list(genome),
-    }
+def encode_member(program: Program) -> Dict[str, object]:
+    """A population member: its program record plus the genome the
+    mutator rewrites on resume (guard instructions excluded)."""
+    record = program_record(program)
+    record["genome"] = list(Generator.genome_of(program))
+    return record
 
 
-def decode_program(
-    record: Dict[str, object], generator: Generator
-) -> Program:
-    """Reconstruct a population member from its checkpoint record.
-
-    Constrained-random programs consume the RNG during instruction
-    selection, so they are reproduced by re-running the random policy
-    under the recorded seed; everything else realizes the recorded
-    genome through the sequence policy under the same seed.
-    """
-    name = str(record["name"])
-    seed = int(record["seed"])
-    if record.get("policy") == "constrained_random":
-        return generator.synthesizer.synthesize_random(seed, name=name)
-    genome = tuple(str(entry) for entry in record.get("genome", []))
-    return generator.realize(genome, seed, name=name)
+def decode_member(record: Dict[str, object]) -> Program:
+    """Inverse of :func:`encode_member`: the exact instructions from
+    the record's bytes, with the recorded genome reattached."""
+    try:
+        program = program_from_record(record)
+        genome = tuple(str(entry) for entry in record["genome"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"undecodable program record: {exc}"
+        ) from exc
+    program.metadata["genome"] = genome
+    return program
 
 
 def encode_evaluated(entry: EvaluatedProgram) -> Dict[str, object]:
     return {
-        "program": encode_program(entry.program),
+        "program": encode_member(entry.program),
         "fitness": entry.fitness,
         "total_cycles": entry.total_cycles,
         "crashed": entry.crashed,
@@ -143,11 +131,9 @@ def encode_evaluated(entry: EvaluatedProgram) -> Dict[str, object]:
     }
 
 
-def decode_evaluated(
-    record: Dict[str, object], generator: Generator
-) -> EvaluatedProgram:
+def decode_evaluated(record: Dict[str, object]) -> EvaluatedProgram:
     return EvaluatedProgram(
-        program=decode_program(dict(record["program"]), generator),
+        program=decode_member(dict(record["program"])),
         fitness=float(record["fitness"]),
         total_cycles=int(record["total_cycles"]),
         crashed=bool(record["crashed"]),

@@ -36,7 +36,6 @@ from repro.coverage.metrics import CoverageMetric
 from repro.isa.program import Program
 from repro.sim.config import DEFAULT_MACHINE, MachineConfig
 from repro.sim.cosim import golden_run
-from repro.sim.errors import CrashError
 from repro.util.parallel import (
     STATUS_CRASHED,
     STATUS_TIMED_OUT,
@@ -212,15 +211,13 @@ def _evaluate_one(args) -> tuple:
     the metric (see :data:`LAYER_PHASES`).  The program does not travel
     back: the caller reattaches its own.
 
-    Architectural crashes (:class:`CrashError`) are legitimate program
-    outcomes and become ``crashed=True`` grades; any other exception
+    Architectural crashes are legitimate program outcomes: the
+    functional simulator records them on the golden run, which grades
+    ``crashed=True`` (metrics score a crashed run 0).  Any exception
     propagates to the pool layer, which quarantines the candidate.
     """
     program, metric, machine = args
-    try:
-        golden = golden_run(program, machine)
-    except CrashError:
-        return 0.0, 0, True, (0.0, 0.0, 0.0)
+    golden = golden_run(program, machine)
     started = time.perf_counter()
     fitness = metric(golden)
     seconds = (

@@ -29,10 +29,10 @@ from repro.core.checkpoint import (
     compact_checkpoints,
     evalcache_path,
     decode_evaluated,
-    decode_program,
+    decode_member,
     decode_rng_state,
     encode_evaluated,
-    encode_program,
+    encode_member,
     encode_rng_state,
 )
 from repro.core.errors import LoopConfigError
@@ -233,7 +233,7 @@ class HarpocratesLoop:
     ) -> None:
         checkpoint = LoopCheckpoint(
             iteration=iteration,
-            population=[encode_program(p) for p in population],
+            population=[encode_member(p) for p in population],
             rng_state=encode_rng_state(rng.getstate()),
             history=[
                 {
@@ -266,8 +266,7 @@ class HarpocratesLoop:
         """Load a checkpoint and rebuild loop state from it."""
         checkpoint = LoopCheckpoint.load(resume_from)
         population = [
-            decode_program(dict(record), self.generator)
-            for record in checkpoint.population
+            decode_member(dict(record)) for record in checkpoint.population
         ]
         rng.setstate(decode_rng_state(checkpoint.rng_state))
         result.history = [
@@ -284,8 +283,7 @@ class HarpocratesLoop:
             for record in checkpoint.history
         ]
         result.best = [
-            decode_evaluated(dict(record), self.generator)
-            for record in checkpoint.best
+            decode_evaluated(dict(record)) for record in checkpoint.best
         ]
         result.iterations_run = checkpoint.iteration
         result.resumed_from = checkpoint.iteration

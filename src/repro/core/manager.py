@@ -1,21 +1,15 @@
-"""The Generation and Mutation Manager (paper §V-B2) plus loop-step
-instrumentation.
+"""The Generation and Mutation Manager (paper §V-B2).
 
 The Manager "orchestrates the most common flows in the framework":
 configurable constrained-random generation, bulk mutate-and-generate
 flows, and the fully wired Harpocrates loop for a target structure.
-It also times the four stages of a single loop step — Mutation,
-Generation, Compilation, Evaluation — which is exactly the breakdown
-the paper's Table I reports.  ("Compilation" here is lowering the
-program to its binary encoding, the stand-in for the paper's pass
-through a C compiler.)
+The loop's stage timing (Table I) is read off its observability phases
+(see :mod:`repro.experiments.table1`).
 """
 
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.evalcache import DEFAULT_EVAL_CACHE_SIZE, EvaluationCache
@@ -24,36 +18,7 @@ from repro.core.generator import Generator
 from repro.core.loop import HarpocratesLoop, LoopConfig, LoopResult
 from repro.core.mutator import InstructionReplacementMutator, Mutator
 from repro.core.targets import TargetSpec
-from repro.isa.encoding import encode_program
 from repro.isa.program import Program
-
-
-@dataclass(frozen=True)
-class LoopStepTiming:
-    """Wall-clock breakdown of one loop step (Table I)."""
-
-    mutation_seconds: float
-    generation_seconds: float
-    compilation_seconds: float
-    evaluation_seconds: float
-    programs: int
-    instructions: int
-
-    @property
-    def total_seconds(self) -> float:
-        return (
-            self.mutation_seconds
-            + self.generation_seconds
-            + self.compilation_seconds
-            + self.evaluation_seconds
-        )
-
-    @property
-    def instructions_per_second(self) -> float:
-        """Runnable-and-evaluated instruction throughput (§VI-A)."""
-        if self.total_seconds == 0:
-            return 0.0
-        return self.instructions / self.total_seconds
 
 
 class Manager:
@@ -249,55 +214,3 @@ class Manager:
             workers=workers,
             out_dir=out_dir,
         )
-
-    # -- Table I instrumentation ---------------------------------------------
-
-    def timed_loop_step(
-        self, population: Sequence[Program], seed: int = 0
-    ) -> Tuple[List[Program], LoopStepTiming]:
-        """Run one full loop step, timing each stage.
-
-        Returns the next generation and the stage breakdown.  Stage
-        order matches Table I: Mutation, Generation, Compilation,
-        Evaluation.
-        """
-        rng = random.Random(seed)
-        config = self.target.loop
-
-        started = time.perf_counter()
-        ranked = self.evaluator.rank(population)
-        evaluation_seconds = time.perf_counter() - started
-        survivors = ranked[: config.keep]
-
-        started = time.perf_counter()
-        genomes = []
-        for parent in survivors:
-            genome = self.generator.genome_of(parent.program)
-            for _ in range(config.effective_offspring):
-                genomes.append(self.mutator.mutate(genome, rng))
-        mutation_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        next_generation = [
-            self.generator.realize(
-                genome, rng.getrandbits(32), name=f"step_{index:03d}"
-            )
-            for index, genome in enumerate(genomes)
-        ]
-        generation_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        for program in next_generation:
-            encode_program(list(program.instructions))
-        compilation_seconds = time.perf_counter() - started
-
-        instructions = sum(len(p) for p in next_generation)
-        timing = LoopStepTiming(
-            mutation_seconds=mutation_seconds,
-            generation_seconds=generation_seconds,
-            compilation_seconds=compilation_seconds,
-            evaluation_seconds=evaluation_seconds,
-            programs=len(next_generation),
-            instructions=instructions,
-        )
-        return next_generation, timing

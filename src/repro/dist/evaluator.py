@@ -25,11 +25,11 @@ import logging
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.checkpoint import encode_program
 from repro.core.evalcache import EvaluationCache
 from repro.core.evaluator import EvaluatedProgram, Evaluator
 from repro.coverage.metrics import CoverageMetric
 from repro.dist.coordinator import Coordinator
+from repro.isa.encoding import program_record
 from repro.isa.program import Program
 from repro.sim.config import DEFAULT_MACHINE, MachineConfig
 
@@ -158,7 +158,7 @@ class DistributedEvaluator(Evaluator):
             return []
         if self._breaker_open:
             return super()._evaluate_uncached(programs)
-        records = [encode_program(program) for program in programs]
+        records = [program_record(program) for program in programs]
         with obs.phase("dist_dispatch"):
             outcome = self.coordinator.evaluate(records)
         if outcome is None:

@@ -18,15 +18,17 @@ Message types
     Coordinator → worker: which target structure to evaluate and at
     what scale (``target``, ``program_scale``, ``loop_scale``,
     ``paper``, ``eval_timeout``, ``max_retries``).  The worker rebuilds
-    the metric/machine/generator locally from the target registry, so
-    only plain JSON ever crosses the wire.  Answered by ``configured``
-    or ``error``.
+    the metric/machine locally from the target registry, so only plain
+    JSON ever crosses the wire.  Answered by ``configured`` or
+    ``error``.
 ``eval``
     Coordinator → worker: a batch of candidates, each a task ``id``
-    plus the same policy-aware genome ``program`` record the
-    checkpoints use (reconstruction is bit-exact, so remote evaluation
-    is deterministic).  Carries a generation sequence tag ``gen``.
-    Answered by ``result``.
+    plus its ``program`` record
+    (:func:`repro.isa.encoding.program_record`: name, init seed, data
+    size, source and the hex of the encoded instructions).  The worker
+    decodes the exact instructions, so remote evaluation is
+    deterministic for any program.  Carries a generation sequence tag
+    ``gen``.  Answered by ``result``.
 ``result``
     Worker → coordinator: per-task fitness records (``id``,
     ``fitness``, ``total_cycles``, ``crashed``, ``error_kind``,
@@ -65,12 +67,12 @@ Capabilities
 
 Optional features are negotiated through ``caps`` lists exchanged in
 the hellos; a feature is active only when **both** sides advertise it
-(:func:`negotiated_caps`).  Peers that omit ``caps`` (protocol v1
-seeds) negotiate the empty set and keep working unchanged.
+(:func:`negotiated_caps`).  Peers that omit ``caps`` negotiate the
+empty set and keep working unchanged.
 
 ``zlib`` (:data:`CAP_ZLIB`)
     Batch compression.  Large frames (``eval`` batches, ``result``
-    batches — at paper scale a generation serializes MBs of genome
+    batches — at paper scale a generation serializes MBs of program
     records) may be sent zlib-compressed: the top bit of the length
     header marks a compressed body, which is inflated (with a
     decompression-bomb guard) before JSON parsing.  Never used before
@@ -94,7 +96,7 @@ from typing import Dict, FrozenSet, Optional
 from repro.core.errors import EvaluationError
 
 #: Bump on incompatible wire changes; checked in the hello handshake.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frames larger than this are rejected outright (corrupt or hostile).
 MAX_FRAME_BYTES = 64 * 1024 * 1024

@@ -13,16 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.silifuzz import FuzzStats, SiliFuzz, SiliFuzzConfig
-from repro.core.manager import LoopStepTiming, Manager
-from repro.core.targets import scaled_targets
 from repro.experiments.presets import DEFAULT, ExperimentScale
+from repro.experiments.table1 import LoopStep
+from repro.experiments.table1 import run as run_table1
 from repro.util.tables import format_table
 
 
 @dataclass
 class GenRateResult:
     silifuzz: FuzzStats
-    harpocrates: LoopStepTiming
+    harpocrates: LoopStep
 
     @property
     def silifuzz_rate(self) -> float:
@@ -67,13 +67,6 @@ def run(scale: ExperimentScale = DEFAULT) -> GenRateResult:
         SiliFuzzConfig(rounds=scale.silifuzz_rounds, seed=scale.seed)
     )
     fuzz_result = fuzzer.fuzz()
-    targets = scaled_targets(
-        program_scale=scale.program_scale, loop_scale=scale.loop_scale
+    return GenRateResult(
+        silifuzz=fuzz_result.stats, harpocrates=run_table1(scale).step
     )
-    target = targets["int_adder"]
-    manager = Manager(target)
-    population = manager.generate(
-        target.loop.population, base_seed=scale.seed
-    )
-    _next, timing = manager.timed_loop_step(population, seed=scale.seed)
-    return GenRateResult(silifuzz=fuzz_result.stats, harpocrates=timing)

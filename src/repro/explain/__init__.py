@@ -37,9 +37,7 @@ from repro.explain.report import (
     WITNESS_SCHEMA,
     Witness,
     decode_fault,
-    decode_program,
     encode_fault,
-    encode_program,
     load_witness_program,
     render_witness_json,
     render_witness_text,
@@ -48,6 +46,8 @@ from repro.explain.report import (
     write_witness,
 )
 from repro.faults.outcomes import DetectionReport
+# Decodes a witness's ``minimized`` record (the name callers know).
+from repro.isa.encoding import program_from_record as decode_program
 from repro.sim.config import MachineConfig
 from repro.sim.cosim import GoldenRun, golden_run
 
@@ -64,7 +64,6 @@ __all__ = [
     "decode_fault",
     "decode_program",
     "encode_fault",
-    "encode_program",
     "explain_detection",
     "explain_detections",
     "fault_site",

@@ -1,17 +1,17 @@
 """Witness artifacts: stable JSON + human-readable reports.
 
 A *witness* packages everything an engineer needs to reproduce and
-understand one detection: the minimized program (serialized at the
-instruction level, so arbitrary reduced subsets round-trip — the
-checkpoint codec's genome encoding cannot represent them), the exact
-fault descriptor, the outcome, the reduction trace, and the
-localization verdict.
+understand one detection: the minimized program (as the program record
+of :func:`repro.isa.encoding.program_record`, whose encoded instruction
+bytes hold any reduced subset exactly — the same record checkpoints and
+the fleet wire carry), the exact fault descriptor, the outcome, the
+reduction trace, and the localization verdict.
 
 The JSON form is the determinism contract's unit of comparison for
 ``harpocrates explain``: two minimization runs of the same (program,
 fault) pair must produce byte-identical witness files, so every dump
 here sorts keys, carries no wall-clock or RNG material, and encodes
-values (register names, hex strings) in one canonical spelling.
+values (hex strings, stable kind tags) in one canonical spelling.
 """
 
 from __future__ import annotations
@@ -31,19 +31,12 @@ from repro.faults.models import (
     RegisterTransient,
 )
 from repro.gatelevel.netlist import StuckAt
-from repro.isa import registers
-from repro.isa.instructions import FUClass, Instruction
-from repro.isa.isa_x64 import x64
-from repro.isa.operands import (
-    ImmOperand,
-    MemOperand,
-    RegOperand,
-    RelOperand,
-)
+from repro.isa.encoding import program_from_record, program_record
+from repro.isa.instructions import FUClass
 from repro.isa.program import Program
 
 #: Witness JSON schema version (bump on any shape change).
-WITNESS_SCHEMA = 1
+WITNESS_SCHEMA = 2
 
 
 # ---------------------------------------------------------------------------
@@ -126,100 +119,6 @@ def decode_fault(payload: Dict[str, object]):
 
 
 # ---------------------------------------------------------------------------
-# Instruction-level program codec
-# ---------------------------------------------------------------------------
-
-
-def _encode_operand(operand) -> Dict[str, object]:
-    if isinstance(operand, RegOperand):
-        return {"kind": "reg", "reg": operand.reg.name}
-    if isinstance(operand, ImmOperand):
-        return {"kind": "imm", "value": operand.value,
-                "width": operand.width}
-    if isinstance(operand, MemOperand):
-        return {
-            "kind": "mem",
-            "base": None if operand.base is None else operand.base.name,
-            "disp": operand.displacement,
-        }
-    if isinstance(operand, RelOperand):
-        return {"kind": "rel", "disp": operand.displacement}
-    raise TypeError(f"unsupported operand {operand!r}")
-
-
-def _decode_operand(payload: Dict[str, object]):
-    kind = payload.get("kind")
-    if kind == "reg":
-        return RegOperand(registers.by_name(str(payload["reg"])))
-    if kind == "imm":
-        return ImmOperand(int(payload["value"]), int(payload["width"]))
-    if kind == "mem":
-        base = payload.get("base")
-        return MemOperand(
-            None if base is None else registers.by_name(str(base)),
-            int(payload["disp"]),
-        )
-    if kind == "rel":
-        return RelOperand(int(payload["disp"]))
-    raise ValueError(f"unknown operand kind {kind!r}")
-
-
-def encode_instruction(instruction: Instruction) -> Dict[str, object]:
-    """Operand-level JSON form (reconstructible via the ISA registry)."""
-    return {
-        "def": instruction.definition.name,
-        "operands": [
-            _encode_operand(operand) for operand in instruction.operands
-        ],
-    }
-
-
-def decode_instruction(payload: Dict[str, object], isa=None) -> Instruction:
-    isa = isa if isa is not None else x64()
-    return Instruction(
-        isa.by_name(str(payload["def"])),
-        tuple(
-            _decode_operand(operand)
-            for operand in payload.get("operands", ())
-        ),
-    )
-
-
-def encode_program(program: Program) -> Dict[str, object]:
-    """Full instruction-level program form.
-
-    Unlike the checkpoint codec (which re-realizes from a genome and
-    therefore only round-trips generator-shaped programs), this form
-    represents *any* instruction sequence — which is exactly what a
-    minimized witness is.  ``metadata`` is dropped: it may hold
-    non-JSON values and never affects execution.
-    """
-    return {
-        "name": program.name,
-        "init_seed": program.init_seed,
-        "data_size": program.data_size,
-        "source": program.source,
-        "instructions": [
-            encode_instruction(instruction) for instruction in program
-        ],
-    }
-
-
-def decode_program(payload: Dict[str, object], isa=None) -> Program:
-    isa = isa if isa is not None else x64()
-    return Program(
-        instructions=tuple(
-            decode_instruction(entry, isa)
-            for entry in payload.get("instructions", ())
-        ),
-        name=str(payload.get("name", "witness")),
-        init_seed=int(payload.get("init_seed", 0)),
-        data_size=int(payload.get("data_size", 32 * 1024)),
-        source=str(payload.get("source", "witness")),
-    )
-
-
-# ---------------------------------------------------------------------------
 # The witness artifact
 # ---------------------------------------------------------------------------
 
@@ -288,7 +187,7 @@ def witness_to_dict(witness: Witness) -> Dict[str, object]:
             "name": witness.original_name,
             "instructions": witness.original_instructions,
         },
-        "minimized": encode_program(witness.minimized),
+        "minimized": program_record(witness.minimized),
         "minimization": {
             "steps": list(witness.steps),
             "instructions_removed": witness.instructions_removed,
@@ -400,8 +299,13 @@ def load_witness_program(path: str) -> Tuple[Program, object, str]:
     """
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    if payload.get("schema") != WITNESS_SCHEMA:
+        raise ValueError(
+            f"unsupported witness schema {payload.get('schema')!r} "
+            f"(expected {WITNESS_SCHEMA})"
+        )
     return (
-        decode_program(payload["minimized"]),
+        program_from_record(payload["minimized"]),
         decode_fault(payload["fault"]),
         str(payload["outcome"]),
     )

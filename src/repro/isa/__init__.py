@@ -2,7 +2,8 @@
 
 Public surface: registers, operand constructors, instruction
 definitions/instances, the shared :func:`x64` instruction set, executable
-semantics, and the binary encoder/decoder.
+semantics, the binary encoder/decoder, and the program record built on
+it.
 """
 
 from repro.isa import registers
@@ -12,6 +13,8 @@ from repro.isa.encoding import (
     decode_program,
     encode_instruction,
     encode_program,
+    program_from_record,
+    program_record,
 )
 from repro.isa.flags import Flags
 from repro.isa.instructions import (
@@ -44,6 +47,8 @@ __all__ = [
     "decode_program",
     "encode_instruction",
     "encode_program",
+    "program_from_record",
+    "program_record",
     "Flags",
     "FUClass",
     "Instruction",

@@ -25,15 +25,21 @@ primary map and two-thirds of the secondary map are unassigned.
 Together with truncated-tail rejection and crash/determinism filtering,
 byte-mutation fuzzing lands at the paper's "more than 2 out of 3
 produced sequences are eventually unusable" regime (Fig 8).
+
+The same bytes are the program's one serialized form: a *program
+record* (:func:`program_record`) is the hex encoding plus the wrapper
+parameters, and it is what checkpoints, the fleet wire and witness
+files carry.  Any instruction sequence round-trips through it, not only
+generator-shaped ones.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa import registers
 from repro.isa.instructions import Instruction, InstructionSet
-from repro.isa.isa_x64 import SECONDARY_ESCAPE
+from repro.isa.isa_x64 import SECONDARY_ESCAPE, x64
 from repro.isa.operands import (
     ImmOperand,
     MemOperand,
@@ -42,6 +48,7 @@ from repro.isa.operands import (
     RegOperand,
     RelOperand,
 )
+from repro.isa.program import Program
 from repro.util.bitops import to_signed, to_unsigned
 
 RIP_MODE_BYTE = 0x10
@@ -88,7 +95,7 @@ def _encode_operand(kind: OperandKind, width: int, operand: Operand) -> bytes:
     raise TypeError(f"cannot encode operand kind {kind}")
 
 
-def encode_program(instructions: List[Instruction]) -> bytes:
+def encode_program(instructions: Sequence[Instruction]) -> bytes:
     """Encode a sequence of instructions to a flat byte string."""
     return b"".join(encode_instruction(i) for i in instructions)
 
@@ -169,3 +176,45 @@ def decode_program(isa: InstructionSet, data: bytes) -> List[Instruction]:
         instruction, offset = decode_instruction(isa, data, offset)
         instructions.append(instruction)
     return instructions
+
+
+def program_record(program: Program) -> Dict[str, object]:
+    """The JSON-safe record of ``program``: its wrapper parameters plus
+    ``code``, the hex of its encoded instructions.  ``metadata`` is not
+    kept: it never affects execution."""
+    return {
+        "name": program.name,
+        "init_seed": program.init_seed,
+        "data_size": program.data_size,
+        "source": program.source,
+        "code": encode_program(program.instructions).hex(),
+    }
+
+
+def program_from_record(record: Dict[str, object]) -> Program:
+    """Inverse of :func:`program_record`; keys it does not know are
+    ignored.  Raises :class:`DecodeError` (a ``ValueError``) on a
+    malformed ``code``, ``ValueError`` on a ``data_size`` the sandbox
+    cannot hold and ``KeyError`` on a missing field."""
+    # Deferred: the simulator package imports this one.
+    from repro.sim.config import MemoryMap
+
+    layout = MemoryMap()
+    data_size = int(record["data_size"])
+    # Records arrive from checkpoint files and fleet frames, so the
+    # size is checked before any run allocates the region: past the
+    # stack base it would overlap the stack.
+    if not 0 < data_size <= layout.stack_base - layout.data_base:
+        raise ValueError(
+            f"data_size {data_size} outside the sandbox's data region "
+            f"(1..{layout.stack_base - layout.data_base} bytes)"
+        )
+    return Program(
+        instructions=tuple(decode_program(
+            x64(), bytes.fromhex(str(record["code"]))
+        )),
+        name=str(record["name"]),
+        init_seed=int(record["init_seed"]),
+        data_size=data_size,
+        source=str(record["source"]),
+    )

@@ -99,7 +99,8 @@ class _Task:
     index: int
     item: Any
     attempts: int = 0
-    delay: float = 0.0
+    #: ``time.monotonic()`` before which a retry stays queued (backoff).
+    ready_at: float = 0.0
     submitted: float = 0.0
     #: Set when a worker crash could not be pinned on one task: the
     #: task then runs alone, so a repeat crash is charged to it exactly.
@@ -277,16 +278,19 @@ class ResilientPool:
                 # submitted task starts (approximately) immediately and
                 # its wall-clock budget measures execution, not queueing.
                 # A suspect runs alone: it waits for the tasks in flight
-                # to drain, and nothing joins it.
+                # to drain, and nothing joins it.  A retry in backoff
+                # waits for its ready time; meanwhile the tasks in
+                # flight are still collected.
+                backoff_until: Optional[float] = None
                 while pending and len(order) < workers:
                     if order and (
                         pending[0].suspect or inflight[order[0]].suspect
                     ):
                         break
+                    if pending[0].ready_at > time.monotonic():
+                        backoff_until = pending[0].ready_at
+                        break
                     task = pending.popleft()
-                    if task.delay > 0:
-                        time.sleep(task.delay)
-                        task.delay = 0.0
                     task.submitted = time.monotonic()
                     try:
                         future = executor.submit(fn, task.item)
@@ -299,8 +303,14 @@ class ResilientPool:
                     inflight[future] = task
                     order.append(future)
                 if not order:
-                    # Only a broken submit leaves nothing in flight, and
-                    # then there is no task to charge.
+                    if backoff_until is not None:
+                        # Nothing to collect until the retry is due.
+                        time.sleep(
+                            max(0.0, backoff_until - time.monotonic())
+                        )
+                        continue
+                    # Otherwise only a broken submit leaves nothing in
+                    # flight, and then there is no task to charge.
                     executor = self._respawn(
                         executor, workers, respawns_at_start
                     )
@@ -308,16 +318,24 @@ class ResilientPool:
                 # Collect by completion: a worker that finishes early
                 # is refilled at once instead of idling behind the
                 # head.  The head is the oldest submission, so its
-                # budget runs out first.
+                # budget runs out first.  A pending backoff caps the
+                # wait, so its retry is submitted once due.
                 budget = None
+                overran = True
                 if self.timeout is not None:
                     budget = max(
                         0.0,
                         inflight[order[0]].submitted + self.timeout
                         - time.monotonic(),
                     )
+                if backoff_until is not None:
+                    due = max(0.0, backoff_until - time.monotonic())
+                    if budget is None or due < budget:
+                        budget, overran = due, False
                 done, _ = wait(order, budget, FIRST_COMPLETED)
                 if not done:
+                    if not overran:
+                        continue
                     # The head overran its own budget, so the charge is
                     # exact; unfinished siblings are innocent bystanders.
                     future = order[0]
@@ -520,7 +538,7 @@ class ResilientPool:
                 and self.retryable is not None and exception is not None:
             retry_allowed = bool(self.retryable(exception))
         if retry_allowed:
-            task.delay = min(
+            task.ready_at = time.monotonic() + min(
                 self.backoff_cap,
                 self.backoff_base * (2 ** (task.attempts - 1)),
             )

@@ -5,20 +5,24 @@ import os
 
 import pytest
 
+from repro.baselines.mibench import build_crc32
 from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
     LoopCheckpoint,
     checkpoint_iteration,
     compact_checkpoints,
-    decode_program,
-    encode_program,
+    decode_evaluated,
+    decode_member,
+    encode_evaluated,
+    encode_member,
     latest_checkpoint,
 )
 from repro.core.errors import CheckpointError
-from repro.core.evaluator import Evaluator
+from repro.core.evaluator import EvaluatedProgram, Evaluator
 from repro.core.generator import Generator
 from repro.core.loop import HarpocratesLoop, LoopConfig
 from repro.coverage.metrics import IbrCoverage
+from repro.isa import Program, imm, make, mem, reg, x64
 from repro.isa.instructions import FUClass
 from repro.microprobe.policies import GenerationConfig
 
@@ -35,14 +39,29 @@ def make_loop(config=CONFIG):
     )
 
 
+def _witness_program():
+    """A hand-built minimised witness: no generator produces it."""
+    isa = x64()
+    return Program(
+        instructions=(
+            make(isa.by_name("mov_r64_imm64"), reg("rax"), imm(5, 64)),
+            make(isa.by_name("add_r64_m64"), reg("rbx"), mem("rbp", 16)),
+        ),
+        name="witness", init_seed=3, data_size=2048, source="witness",
+    )
+
+
 class TestProgramRecords:
     def test_random_program_roundtrips_bit_exactly(self):
         generator = Generator(GEN_CONFIG)
         program = generator.initial_population(1, base_seed=11)[0]
-        restored = decode_program(encode_program(program), generator)
-        assert restored.to_asm() == program.to_asm()
+        restored = decode_member(encode_member(program))
+        assert restored.instructions == program.instructions
         assert restored.name == program.name
         assert restored.init_seed == program.init_seed
+        # The genome the mutator rewrites on resume comes back too.
+        assert Generator.genome_of(restored) == \
+            Generator.genome_of(program)
 
     def test_mutated_program_roundtrips_bit_exactly(self):
         generator = Generator(GEN_CONFIG)
@@ -50,8 +69,44 @@ class TestProgramRecords:
         realized = generator.realize(
             generator.genome_of(base), 12345, name="mutant"
         )
-        restored = decode_program(encode_program(realized), generator)
-        assert restored.to_asm() == realized.to_asm()
+        restored = decode_member(encode_member(realized))
+        assert restored.instructions == realized.instructions
+        assert restored.metadata["genome"] == realized.metadata["genome"]
+
+    def test_non_generator_programs_survive_a_checkpoint(self, tmp_path):
+        """Baseline kernels and minimised witnesses are not genome-
+        shaped; a checkpoint still restores their exact instructions."""
+        kernel = build_crc32(scale=2)
+        witness = _witness_program()
+        LoopCheckpoint(
+            iteration=1,
+            population=[encode_member(kernel), encode_member(witness)],
+            rng_state=[3, [0], None],
+            best=[encode_evaluated(EvaluatedProgram(
+                program=witness, fitness=0.5, total_cycles=9,
+                crashed=False,
+            ))],
+        ).save(str(tmp_path))
+        loaded = LoopCheckpoint.load(str(tmp_path))
+        restored = [decode_member(record) for record in loaded.population]
+        for original, copy in zip((kernel, witness), restored):
+            assert copy.instructions == original.instructions
+            assert (copy.name, copy.init_seed, copy.data_size,
+                    copy.source) == (original.name, original.init_seed,
+                                     original.data_size, original.source)
+        best = decode_evaluated(loaded.best[0])
+        assert best.program.instructions == witness.instructions
+        assert (best.fitness, best.total_cycles) == (0.5, 9)
+
+    def test_undecodable_record_is_a_checkpoint_error(self):
+        record = dict(encode_member(_witness_program()), code="00")
+        with pytest.raises(CheckpointError, match="undecodable"):
+            decode_member(record)
+
+    def test_oversized_data_region_is_a_checkpoint_error(self):
+        record = dict(encode_member(_witness_program()), data_size=2 ** 36)
+        with pytest.raises(CheckpointError, match="data_size"):
+            decode_member(record)
 
 
 class TestResume:
@@ -153,8 +208,9 @@ class TestCheckpointFiles:
         assert payload["version"] == CHECKPOINT_VERSION
         assert payload["iteration"] == 1
         assert len(payload["population"]) == CONFIG.population
-        assert {"name", "seed", "policy", "genome"} <= \
-            set(payload["population"][0])
+        assert set(payload["population"][0]) == {
+            "name", "init_seed", "data_size", "source", "code", "genome",
+        }
         assert payload["rng_state"][0] == 3  # Mersenne Twister version
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
@@ -170,6 +226,19 @@ class TestCheckpointFiles:
             "iteration": 1, "population": [], "rng_state": [],
         }))
         with pytest.raises(CheckpointError, match="version"):
+            LoopCheckpoint.load(str(path))
+
+    def test_version_1_checkpoint_refused(self, tmp_path):
+        """Version 1 stored genome records re-realised through the
+        generator; it is refused by name, not misread."""
+        path = tmp_path / "checkpoint_000001.json"
+        path.write_text(json.dumps({
+            "version": 1, "iteration": 1, "rng_state": [],
+            "population": [{"name": "p", "seed": 0,
+                            "policy": "constrained_random",
+                            "genome": []}],
+        }))
+        with pytest.raises(CheckpointError, match="version 1"):
             LoopCheckpoint.load(str(path))
 
     def test_missing_directory_rejected(self, tmp_path):

@@ -150,18 +150,6 @@ class TestManager:
         offspring = manager.mutate_and_generate(base, mutations_each=3)
         assert len(offspring) == 6
 
-    def test_timed_loop_step_structure(self):
-        targets = scaled_targets()
-        manager = Manager(targets["int_adder"])
-        population = manager.generate(
-            targets["int_adder"].loop.population
-        )
-        next_generation, timing = manager.timed_loop_step(population)
-        assert timing.programs == len(next_generation)
-        assert timing.total_seconds > 0
-        assert timing.instructions_per_second > 0
-        assert timing.mutation_seconds < timing.generation_seconds
-
 
 class TestCrossoverOption:
     def test_crossover_loop_runs_and_improves(self):

@@ -22,6 +22,7 @@ from repro.dist.protocol import (
     send_frame,
 )
 from repro.dist.worker import WorkerServer
+from repro.isa import program_record
 
 SCALES = (0.03, 0.008)
 TARGET_KEY = "int_adder"
@@ -129,7 +130,6 @@ class TestEndToEnd:
         spec = scaled_targets(*SCALES)[TARGET_KEY]
         generator = Generator(spec.generation)
         population = generator.initial_population(4, base_seed=3)
-        from repro.core.checkpoint import encode_program
 
         server = WorkerServer(slots=1).start()
         sock = socket.create_connection(
@@ -153,7 +153,7 @@ class TestEndToEnd:
             send_frame(sock, {
                 "type": "eval",
                 "batch": [
-                    {"id": i, "program": encode_program(p)}
+                    {"id": i, "program": program_record(p)}
                     for i, p in enumerate(population)
                 ],
             }, compress=True)
@@ -175,7 +175,6 @@ class TestEndToEnd:
         spec = scaled_targets(*SCALES)[TARGET_KEY]
         generator = Generator(spec.generation)
         population = generator.initial_population(2, base_seed=5)
-        from repro.core.checkpoint import encode_program
 
         server = WorkerServer(slots=1).start()
         sock = socket.create_connection(
@@ -197,7 +196,7 @@ class TestEndToEnd:
             send_frame(sock, {
                 "type": "eval",
                 "batch": [
-                    {"id": i, "program": encode_program(p)}
+                    {"id": i, "program": program_record(p)}
                     for i, p in enumerate(population)
                 ],
             })

@@ -8,6 +8,7 @@ degrades gracefully to the local pool.
 
 import pytest
 
+from repro.baselines.mibench import build_crc32
 from repro.core.evalcache import EvaluationCache
 from repro.core.evaluator import Evaluator
 from repro.core.generator import Generator
@@ -15,6 +16,7 @@ from repro.core.targets import scaled_targets
 from repro.dist.coordinator import Coordinator, parse_endpoints
 from repro.dist.evaluator import DistributedEvaluator
 from repro.dist.worker import WorkerServer
+from repro.isa import Program, imm, make, mem, program_record, reg, x64
 
 SCALES = (0.03, 0.008)  # smoke-preset program/loop scales
 TARGET_KEY = "int_adder"
@@ -95,6 +97,45 @@ class TestLoopback:
         finally:
             distributed.close()
         assert [e.name for e in evaluated] == [p.name for p in population]
+
+
+    def test_worker_grades_non_generator_programs_like_local(
+        self, spec, fleet
+    ):
+        """A baseline kernel and a hand-built witness reach the worker
+        as their bytes and grade exactly as the local Evaluator does."""
+        isa = x64()
+        witness = Program(
+            instructions=(
+                make(isa.by_name("mov_r64_imm64"), reg("rax"),
+                     imm(5, 64)),
+                make(isa.by_name("add_r64_m64"), reg("rbx"),
+                     mem("rbp", 16)),
+                make(isa.by_name("add_r64_r64"), reg("rbx"), reg("rax")),
+            ),
+            name="witness", init_seed=3, data_size=2048,
+            source="witness",
+        )
+        programs = [build_crc32(scale=2), witness]
+        coordinator = Coordinator(
+            fleet,
+            target_key=TARGET_KEY,
+            program_scale=SCALES[0],
+            loop_scale=SCALES[1],
+            heartbeat_interval=0.5,
+        )
+        try:
+            outcome = coordinator.evaluate(
+                [program_record(program) for program in programs]
+            )
+        finally:
+            coordinator.close()
+        assert outcome is not None
+        remote, _health = outcome
+        local = Evaluator(spec.metric, spec.machine).evaluate(programs)
+        assert [(r["fitness"], r["total_cycles"], r["crashed"],
+                 r["error_kind"]) for r in remote] == \
+            [(e.fitness, e.total_cycles, e.crashed, None) for e in local]
 
 
 class TestCoordinatorCache:
@@ -194,12 +235,9 @@ class TestWorkerRobustness:
             heartbeat_interval=0.5,
         )
         generator = Generator(spec.generation)
-        from repro.core.checkpoint import encode_program
-
-        good = encode_program(generator.initial_population(1)[0])
-        bad = {"name": "mystery", "seed": 0,
-               "policy": "sequence_import",
-               "genome": ["not_an_instruction"]}
+        good = program_record(generator.initial_population(1)[0])
+        # Byte 0x00 is an unassigned opcode.
+        bad = dict(good, name="mystery", code="00")
         outcome = coordinator.evaluate([good, bad])
         coordinator.close()
         assert outcome is not None
@@ -208,6 +246,27 @@ class TestWorkerRobustness:
         assert results[0]["error_kind"] is None
         assert results[1]["error_kind"] == "candidate_error"
         assert "mystery" in health.quarantined
+
+    def test_oversized_data_region_is_quarantined(self, spec, fleet):
+        """A frame's ``data_size`` is checked before the worker
+        allocates the region, so a tiny frame cannot claim gigabytes."""
+        coordinator = Coordinator(
+            fleet,
+            target_key=TARGET_KEY,
+            program_scale=SCALES[0],
+            loop_scale=SCALES[1],
+            heartbeat_interval=0.5,
+        )
+        generator = Generator(spec.generation)
+        good = program_record(generator.initial_population(1)[0])
+        huge = dict(good, name="huge", data_size=2 ** 36)
+        outcome = coordinator.evaluate([good, huge])
+        coordinator.close()
+        assert outcome is not None
+        results, health = outcome
+        assert results[0]["error_kind"] is None
+        assert results[1]["error_kind"] == "candidate_error"
+        assert "huge" in health.quarantined
 
     def test_parse_endpoints(self):
         assert parse_endpoints("a:1,b:2") == [("a", 1), ("b", 2)]

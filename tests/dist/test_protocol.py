@@ -18,6 +18,7 @@ from repro.dist.protocol import (
     FrameTimeout,
     ProtocolError,
 )
+from repro.isa import Program, make, program_record, reg, x64
 
 
 def pair():
@@ -40,10 +41,12 @@ class TestRoundTrip:
 
     def test_large_batch_round_trips(self):
         left, right = pair()
+        isa = x64()
+        add = make(isa.by_name("add_r64_r64"), reg("rbx"), reg("rax"))
         batch = [
-            {"id": i, "program": {"name": f"p{i}", "seed": i,
-                                  "policy": "sequence_import",
-                                  "genome": ["add_r64_r64"] * 50}}
+            {"id": i, "program": program_record(Program(
+                instructions=(add,) * 50, name=f"p{i}", init_seed=i,
+            ))}
             for i in range(64)
         ]
         received = {}

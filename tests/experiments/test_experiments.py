@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import fig1
+from repro import obs
+from repro.core.targets import scaled_targets
+from repro.experiments import fig1, table1
 from repro.experiments.fig456 import run_fig4, run_fig5, run_fig6
 from repro.experiments.genrate import run as run_genrate
 from repro.experiments.harness import (
@@ -18,6 +20,7 @@ from repro.experiments.presets import (
     SMOKE,
     active_scale,
 )
+from repro.experiments.table1 import LoopStep
 from repro.experiments.table1 import run as run_table1
 
 TINY = replace(
@@ -110,12 +113,58 @@ class TestSweeps:
 class TestTable1:
     def test_breakdown_sums(self):
         result = run_table1(TINY)
-        timing = result.timing
-        assert timing.total_seconds == pytest.approx(
-            timing.mutation_seconds + timing.generation_seconds
-            + timing.compilation_seconds + timing.evaluation_seconds
+        step = result.step
+        assert step.total_seconds == pytest.approx(
+            step.mutation_seconds + step.generation_seconds
+            + step.evaluation_seconds
         )
-        assert "Mutation" in result.render()
+        # One iteration covers a whole step: every stage ran.
+        assert step.mutation_seconds > 0
+        assert step.generation_seconds > 0
+        assert step.evaluation_seconds > 0
+        assert step.programs > 0 and step.instructions_per_second > 0
+        text = result.render()
+        assert "Mutation" in text and "Compilation" not in text
+
+    def test_counts_the_generated_offspring(self):
+        """The step's instructions are its offspring's, not those of the
+        evaluated population, which also holds the carried survivors."""
+        loop = scaled_targets(
+            program_scale=TINY.program_scale, loop_scale=TINY.loop_scale
+        )["int_adder"].loop
+        step = run_table1(TINY).step
+        assert step.programs == min(
+            loop.keep * loop.effective_offspring, loop.population - loop.keep
+        )
+
+    def test_scale_seed_picks_the_loop_seed(self, monkeypatch):
+        seeds = []
+
+        def record_seed(manager):
+            seeds.append(manager.target.loop.seed)
+            return LoopStep(0.0, 0.0, 0.0, 0, 0)
+
+        monkeypatch.setattr(table1, "time_loop_step", record_seed)
+        run_table1(replace(TINY, seed=7))
+        assert seeds == [7]
+
+    def test_obs_left_off_when_it_was_off(self):
+        obs.reset()
+        run_table1(TINY)
+        assert not obs.enabled()
+
+    def test_caller_registry_kept(self):
+        obs.reset()
+        obs.enable()
+        try:
+            obs.add_phase_time("evaluate", 100.0)
+            step = run_table1(TINY).step
+            assert obs.enabled()
+            # The caller's seconds stay, and are not charged to the step.
+            assert obs.phase_times()["evaluate"] > 100.0
+            assert step.evaluation_seconds < 100.0
+        finally:
+            obs.reset()
 
 
 class TestGenRate:

@@ -4,17 +4,13 @@ import json
 
 import pytest
 
-from repro.explain import explain_detections
+from repro.explain import decode_program, explain_detections
 from repro.explain.localize import Localization
 from repro.explain.report import (
     WITNESS_SCHEMA,
     Witness,
     decode_fault,
-    decode_instruction,
-    decode_program,
     encode_fault,
-    encode_instruction,
-    encode_program,
     load_witness_program,
     render_witness_json,
     render_witness_text,
@@ -31,7 +27,7 @@ from repro.faults.models import (
     RegisterTransient,
 )
 from repro.gatelevel.netlist import StuckAt
-from repro.isa import Program, imm, make, mem, reg, rel
+from repro.isa import Program, imm, make, program_record, reg
 from repro.isa.instructions import FUClass
 from repro.sim.cosim import golden_run
 
@@ -62,41 +58,6 @@ class TestFaultCodec:
     def test_unsupported_fault_raises(self):
         with pytest.raises(TypeError):
             encode_fault(object())
-
-
-class TestProgramCodec:
-    def _program(self, isa):
-        return Program(
-            instructions=(
-                make(isa.by_name("mov_r64_imm64"), reg("rax"),
-                     imm(5, 64)),
-                make(isa.by_name("add_r64_m64"), reg("rbx"),
-                     mem("rbp", 16)),
-                make(isa.by_name("jmp_rel"), rel(0)),
-                make(isa.by_name("nop")),
-            ),
-            name="codec", init_seed=7, data_size=4096, source="test",
-        )
-
-    def test_instruction_round_trip(self, isa):
-        for instruction in self._program(isa):
-            payload = encode_instruction(instruction)
-            decoded = decode_instruction(payload, isa)
-            assert decoded.to_asm() == instruction.to_asm()
-
-    def test_program_round_trip(self, isa):
-        program = self._program(isa)
-        decoded = decode_program(encode_program(program), isa)
-        assert decoded.name == program.name
-        assert decoded.init_seed == program.init_seed
-        assert decoded.data_size == program.data_size
-        assert decoded.source == program.source
-        assert [i.to_asm() for i in decoded] == \
-            [i.to_asm() for i in program]
-
-    def test_payload_is_json_safe(self, isa):
-        payload = encode_program(self._program(isa))
-        assert json.loads(json.dumps(payload)) == payload
 
 
 def _witness(isa):
@@ -131,8 +92,16 @@ class TestWitnessRendering:
         assert first == second
         payload = json.loads(first)
         assert payload["schema"] == WITNESS_SCHEMA
-        assert payload["minimized"]["name"] == "w-min"
         assert first.endswith("\n")
+
+    def test_minimized_is_the_program_record(self, isa):
+        witness = _witness(isa)
+        payload = json.loads(render_witness_json(witness))
+        assert payload["minimized"] == program_record(witness.minimized)
+        # The public one-argument decoder reads it back exactly.
+        decoded = decode_program(payload["minimized"])
+        assert decoded.instructions == witness.minimized.instructions
+        assert decoded.name == "w-min"
 
     def test_reduction_and_summary(self, isa):
         witness = _witness(isa)
@@ -162,6 +131,16 @@ class TestWitnessRendering:
             [i.to_asm() for i in witness.minimized]
         assert (tmp_path / "witness-int_adder-000-int_adder_0.txt") \
             .exists()
+
+    def test_load_rejects_other_schema(self, isa, tmp_path):
+        path = write_witness(_witness(isa), str(tmp_path), index=0)
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload["schema"] = 1
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(ValueError, match="witness schema 1"):
+            load_witness_program(path)
 
 
 class TestExplainDetections:

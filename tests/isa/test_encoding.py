@@ -1,13 +1,18 @@
-"""Unit + property tests for the binary encoder/decoder."""
+"""Unit + property tests for the binary encoder/decoder and the
+program record built on it."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.mibench import mibench_suite
+from repro.baselines.opendcdiag import opendcdiag_suite
 from repro.isa import (
     DecodeError,
+    Program,
     decode_instruction,
     decode_program,
     encode_instruction,
@@ -15,11 +20,14 @@ from repro.isa import (
     imm,
     make,
     mem,
+    program_from_record,
+    program_record,
     reg,
     rel,
     x64,
 )
 from repro.isa.operands import OperandKind
+from repro.sim.config import MemoryMap
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +145,83 @@ class TestDecodeRejection:
         opcode = isa.by_name("not_r64").opcode
         decoded = decode_program(isa, bytes([opcode, 0xF3]))
         assert decoded[0].operands[0].reg.index == 3
+
+
+class TestProgramRecord:
+    """The one serialized program form: checkpoints, the fleet wire and
+    witness files all carry :func:`program_record`."""
+
+    def _program(self, isa):
+        return Program(
+            instructions=(
+                make(isa.by_name("mov_r64_imm64"), reg("rax"),
+                     imm(5, 64)),
+                make(isa.by_name("add_r64_m64"), reg("rbx"),
+                     mem("rbp", 16)),
+                make(isa.by_name("jmp_rel"), rel(0)),
+                make(isa.by_name("nop")),
+            ),
+            name="codec", init_seed=7, data_size=4096, source="test",
+            metadata={"genome": ("nop",)},
+        )
+
+    def test_fields(self, isa):
+        record = program_record(self._program(isa))
+        assert sorted(record) == [
+            "code", "data_size", "init_seed", "name", "source",
+        ]
+        assert bytes.fromhex(record["code"]) == \
+            encode_program(self._program(isa).instructions)
+
+    def test_instruction_round_trip(self, isa):
+        for instruction in self._program(isa):
+            program = Program(instructions=(instruction,))
+            decoded = program_from_record(program_record(program))
+            assert decoded.instructions == (instruction,)
+
+    def test_program_round_trip(self, isa):
+        program = self._program(isa)
+        decoded = program_from_record(program_record(program))
+        assert decoded.instructions == program.instructions
+        assert (decoded.name, decoded.init_seed, decoded.data_size,
+                decoded.source) == ("codec", 7, 4096, "test")
+        # Metadata never affects execution and is not carried.
+        assert decoded.metadata == {}
+
+    def test_payload_is_json_safe(self, isa):
+        record = program_record(self._program(isa))
+        assert json.loads(json.dumps(record)) == record
+
+    def test_extra_keys_ignored(self, isa):
+        record = dict(program_record(self._program(isa)), genome=["x"])
+        decoded = program_from_record(record)
+        assert decoded.instructions == self._program(isa).instructions
+
+    def test_baseline_kernels_round_trip(self):
+        """Hand-written kernels are not generator-shaped; their bytes
+        still hold them exactly."""
+        for program in mibench_suite(0.25) + opendcdiag_suite(0.25):
+            decoded = program_from_record(program_record(program))
+            assert decoded.instructions == program.instructions
+            assert decoded.name == program.name
+
+    def test_malformed_code_rejected(self, isa):
+        record = program_record(self._program(isa))
+        with pytest.raises(DecodeError):
+            program_from_record(dict(record, code=record["code"] + "00"))
+        with pytest.raises(ValueError):
+            program_from_record(dict(record, code="not hex"))
+        with pytest.raises(KeyError):
+            program_from_record({"name": "x", "code": ""})
+
+    def test_data_size_bounded_by_the_sandbox(self, isa):
+        """Records come from files and the wire; a data region the
+        sandbox cannot hold is refused before any run allocates it."""
+        record = program_record(self._program(isa))
+        limit = MemoryMap().stack_base - MemoryMap().data_base
+        assert program_from_record(
+            dict(record, data_size=limit)
+        ).data_size == limit
+        for size in (0, -4, limit + 1, 2 ** 36):
+            with pytest.raises(ValueError, match="data_size"):
+                program_from_record(dict(record, data_size=size))

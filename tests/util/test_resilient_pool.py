@@ -23,6 +23,11 @@ from repro.util.parallel import (
     inline_timeout_supported,
 )
 
+needs_two_cpus = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2,
+    reason="collection order needs two pool workers",
+)
+
 
 def _square(x):
     return x * x
@@ -68,6 +73,28 @@ def _fail_until_marked(item):
         open(marker, "w").close()
         raise RuntimeError("transient failure")
     return value
+
+
+def _fail_first_attempt(item):
+    """Sleeps ``seconds``, appends the attempt's start and end stamps
+    (``time.monotonic``, shared by every process on the host) to a log
+    named after the task, and fails the first attempt."""
+    name, seconds, log_dir = item
+    started = time.monotonic()
+    time.sleep(seconds)
+    path = os.path.join(log_dir, name)
+    first = not os.path.exists(path)
+    with open(path, "a") as handle:
+        handle.write(f"{started} {time.monotonic()}\n")
+    if first:
+        raise RuntimeError("transient failure")
+    return name
+
+
+def _attempt_stamps(path):
+    """``[(start, end), ...]`` per attempt, from a task's log."""
+    with open(path) as handle:
+        return [tuple(map(float, line.split())) for line in handle]
 
 
 def _exit_until_marked(item):
@@ -183,6 +210,31 @@ class TestRetry:
         assert all(o.ok for o in outcomes)
         assert outcomes[1].attempts == 2
         assert outcomes[0].attempts == 1
+
+    @needs_two_cpus
+    def test_backoff_does_not_stall_collection(self, tmp_path):
+        """Task b fails while task a backs off.  b is collected then,
+        so its retry follows one backoff after its failure, instead of
+        waiting out a's backoff before its own begins."""
+        backoff = 1.0
+        pool = ResilientPool(
+            workers=2, max_retries=1,
+            backoff_base=backoff, backoff_cap=backoff,
+        )
+        try:
+            outcomes = pool.map(_fail_first_attempt, [
+                ("a", 0.0, str(tmp_path)), ("b", 0.2, str(tmp_path)),
+            ])
+        finally:
+            pool.close()
+        assert [o.value for o in outcomes] == ["a", "b"]
+        assert [o.attempts for o in outcomes] == [2, 2]
+        a = _attempt_stamps(tmp_path / "a")
+        b = _attempt_stamps(tmp_path / "b")
+        # b's first attempt ended inside a's backoff ...
+        assert a[0][1] < b[0][1] < a[1][0]
+        # ... and its retry started about one backoff later.
+        assert b[1][0] - b[0][1] < 1.4 * backoff
 
     def test_retry_budget_exhausted(self):
         outcomes = ResilientPool(workers=2, max_retries=2).map(
@@ -444,10 +496,6 @@ class TestTaskOutcome:
         assert fast.duration < 0.5 * slow.duration
 
 
-needs_two_cpus = pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="collection order needs two pool workers",
-)
 
 
 class TestCompletionOrder:
@@ -491,4 +539,3 @@ class TestCompletionOrder:
         assert [outcomes[i].status for i in (0, 2, 3)] == [STATUS_OK] * 3
         assert 1.0 <= outcomes[1].duration < 1.6
         assert pool.respawns == 1
-
