@@ -48,7 +48,6 @@ from repro.explain.report import (
 from repro.faults.outcomes import DetectionReport
 # Decodes a witness's ``minimized`` record (the name callers know).
 from repro.isa.encoding import program_from_record as decode_program
-from repro.sim.config import MachineConfig
 from repro.sim.cosim import GoldenRun, golden_run
 
 __all__ = [

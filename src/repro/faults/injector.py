@@ -6,8 +6,19 @@ The injector evaluates sampled faults against a program's golden run:
    live? which dynamic instructions observe it?),
 2. translate the fault into value :class:`~repro.sim.overrides.Overrides`,
 3. re-execute only the cheap *functional* simulation under those
-   overrides, and
+   overrides, and only the part of it the overrides can change: the
+   replay starts at the last golden snapshot at or before its first
+   override and stops as Masked at the first snapshot boundary after
+   its last override where its pc and architectural state equal the
+   golden ones (with no output-time override pending, an identical
+   state and no later perturbation give the golden suffix), and
 4. classify the outcome: Masked / SDC / Crash.
+
+The golden snapshots come from one extra fault-free functional pass,
+taken every :func:`snapshot_interval` dynamic instructions (at most 16
+state copies).  An injector makes that pass only on a replay after its
+first one that could start later or stop early, so an injector that
+replays once pays nothing for it.
 
 Fast paths avoid re-execution entirely when the fault provably cannot
 reach the output (dead value → Masked) or provably corrupts it (flip
@@ -39,10 +50,53 @@ from repro.gatelevel.units import GradedUnit, build_graded_unit
 from repro.isa.instructions import FUClass
 from repro.sim.cache import residency_intervals
 from repro.sim.cosim import GoldenRun
-from repro.sim.functional import FunctionalSimulator
+from repro.sim.functional import FunctionalSimulator, Snapshot
 from repro.sim.overrides import Overrides
 from repro.sim.prf import PregVersion
+from repro.sim.state import ArchState
 from repro.util.bitops import MASK64
+
+#: A golden run is cut into at most this many snapshot intervals...
+SNAPSHOTS = 16
+#: ...of at least this many dynamic instructions each.
+MIN_SNAPSHOT_INTERVAL = 32
+
+
+def snapshot_interval(dynamic_count: int) -> int:
+    """Dynamic instructions between two golden snapshots of a run of
+    ``dynamic_count`` instructions: ``ceil(n / 16)``, at least 32."""
+    return max(MIN_SNAPSHOT_INTERVAL, -(-dynamic_count // SNAPSHOTS))
+
+
+class _Recorder:
+    """Watch that copies the state at every boundary of a golden run."""
+
+    def __init__(self, interval: int):
+        self.interval = interval
+        self.snapshots: List[Snapshot] = []
+
+    def visit(self, dyn: int, pc: int, state: ArchState) -> bool:
+        self.snapshots.append(Snapshot(dyn, pc, state.copy()))
+        return False
+
+
+class _Reconvergence:
+    """Watch that stops a replay at the first boundary after ``after``
+    where its pc and state equal the golden snapshot's."""
+
+    def __init__(
+        self, snapshots: List[Snapshot], interval: int, after: int
+    ):
+        self.snapshots = snapshots
+        self.interval = interval
+        self.after = after
+
+    def visit(self, dyn: int, pc: int, state: ArchState) -> bool:
+        index = dyn // self.interval
+        if dyn <= self.after or index >= len(self.snapshots):
+            return False
+        golden = self.snapshots[index]
+        return golden.pc == pc and golden.state == state
 
 
 class DynamicUnitFault:
@@ -64,6 +118,16 @@ class DynamicUnitFault:
         self.stuck = stuck
         self._int_ops = int_ops
         self._lane_ops = lane_ops
+        # First and last operation with a nonzero golden-input diff:
+        # outside them a replay sees golden inputs, hence golden results.
+        perturbing = [dyn for dyn, (_inputs, diff) in int_ops.items() if diff]
+        perturbing.extend(
+            dyn for dyn, lanes in lane_ops.items()
+            if any(diff for _op, diff in lanes.values())
+        )
+        self.span: Optional[Tuple[int, int]] = (
+            (min(perturbing), max(perturbing)) if perturbing else None
+        )
 
     def apply_int(self, dyn, inputs, golden, width):
         entry = self._int_ops.get(dyn)
@@ -111,6 +175,14 @@ class FaultInjector:
         ] = None
         self._residencies = None
         self._units: Dict[FUClass, GradedUnit] = {}
+        dynamic_count = golden.result.dynamic_count
+        self._interval = snapshot_interval(dynamic_count)
+        #: Dynamic index of the last golden snapshot.
+        self._last_boundary = (
+            (dynamic_count - 1) // self._interval * self._interval
+        )
+        self._snapshots: Optional[List[Snapshot]] = None
+        self._replays = 0
         #: The value overrides behind the most recent :meth:`inject`
         #: verdict — ``None`` for masked faults, populated for every
         #: detected one (including fast-path SDC verdicts that skip the
@@ -120,18 +192,57 @@ class FaultInjector:
 
     # -- shared helpers ------------------------------------------------
 
+    def _golden_snapshots(self) -> List[Snapshot]:
+        if self._snapshots is None:
+            recorder = _Recorder(self._interval)
+            result = self._simulator.run(
+                self.golden.program, collect_records=False, watch=recorder
+            )
+            # A pass that hangs under the injector's own budget gives no
+            # snapshots: its replays run whole, as they would hang too.
+            self._snapshots = [] if result.crashed else recorder.snapshots
+        return self._snapshots
+
+    def _replay_plan(
+        self, overrides: Overrides
+    ) -> Tuple[Optional[Snapshot], Optional[_Reconvergence]]:
+        """Where a replay under ``overrides`` starts, and the watch that
+        ends it once it reconverges (``None``: from 0, to the end)."""
+        span = overrides.dyn_span()
+        if span is None or not self._replays:
+            return None, None
+        first, last = span
+        interval, last_boundary = self._interval, self._last_boundary
+        start_index = min(first, last_boundary) // interval
+        converges = not overrides.has_final() and last < last_boundary
+        if start_index <= 0 and not converges:
+            return None, None
+        snapshots = self._golden_snapshots()
+        if not snapshots:
+            return None, None
+        watch = _Reconvergence(snapshots, interval, last) \
+            if converges else None
+        return snapshots[start_index], watch
+
     def _rerun(self, overrides: Overrides, fault: object) -> InjectionResult:
-        self.last_overrides = overrides
+        start, watch = self._replay_plan(overrides)
+        self._replays += 1
         result = self._simulator.run(
-            self.golden.program, overrides, collect_records=False
+            self.golden.program, overrides, collect_records=False,
+            start=start, watch=watch,
         )
+        if result.converged:
+            return InjectionResult(fault, Outcome.MASKED)
         if result.crashed:
-            return InjectionResult(
+            outcome = InjectionResult(
                 fault, Outcome.CRASH, crash_kind=result.crash.kind
             )
-        if result.output != self.golden_output:
-            return InjectionResult(fault, Outcome.SDC)
-        return InjectionResult(fault, Outcome.MASKED)
+        elif result.output != self.golden_output:
+            outcome = InjectionResult(fault, Outcome.SDC)
+        else:
+            return InjectionResult(fault, Outcome.MASKED)
+        self.last_overrides = overrides
+        return outcome
 
     def _preg_versions(self) -> Dict[int, List[PregVersion]]:
         if self._versions_by_preg is None:

@@ -11,13 +11,17 @@ instruction with full ISA semantics, producing:
 
 The simulator honours :class:`~repro.sim.overrides.Overrides`, which is
 how statistical fault injection replays a program "under fault" without
-a heavyweight lock-step faulty microarchitectural simulation.
+a heavyweight lock-step faulty microarchitectural simulation.  A run can
+start from a :class:`Snapshot` of the golden execution instead of the
+initial state, and a :class:`Watch` visited every ``interval`` dynamic
+instructions can record snapshots or stop a replay that has reconverged
+on the golden state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Protocol, Tuple
 
 from repro.isa import registers as regs_module
 from repro.isa.flags import Flags
@@ -60,17 +64,44 @@ class CrashInfo:
 
 @dataclass
 class RunResult:
-    """Outcome of one functional execution."""
+    """Outcome of one functional execution.
+
+    ``output`` is ``None`` when the run crashed or when its
+    :class:`Watch` stopped it (``converged``).  ``dynamic_count`` counts
+    the instructions this run executed, from its start snapshot on.
+    """
 
     program: Program
     output: Optional[ProgramOutput]
     crash: Optional[CrashInfo]
     records: List[InstrRecord]
     dynamic_count: int
+    converged: bool = False
 
     @property
     def crashed(self) -> bool:
         return self.crash is not None
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """The architectural state before dynamic instruction ``dyn``,
+    which is the instruction at static index ``pc``."""
+
+    dyn: int
+    pc: int
+    state: ArchState
+
+
+class Watch(Protocol):
+    """Visited by :meth:`FunctionalSimulator.run` before every dynamic
+    instruction whose index is a multiple of ``interval``."""
+
+    interval: int
+
+    def visit(self, dyn: int, pc: int, state: ArchState) -> bool:
+        """Return ``True`` to stop the run here as converged."""
+        ...
 
 
 class ExecContext:
@@ -279,23 +310,45 @@ class FunctionalSimulator:
         overrides: Optional[Overrides] = None,
         collect_records: bool = True,
         max_dynamic: Optional[int] = None,
+        start: Optional[Snapshot] = None,
+        watch: Optional[Watch] = None,
     ) -> RunResult:
-        """Execute ``program`` from its deterministic initial state."""
+        """Execute ``program`` from its deterministic initial state, or
+        from a copy of ``start`` (a snapshot of this program's run).
+
+        ``watch`` is visited at every multiple of its ``interval``; a
+        visit returning ``True`` ends the run with ``converged`` set.
+        """
         machine = self.machine.for_program(program.data_size)
         overrides = overrides if overrides is not None else Overrides()
-        state = self._initial_state(program.init_seed, machine.memory)
+        if start is None:
+            state = self._initial_state(program.init_seed, machine.memory)
+            pc = first = 0
+        else:
+            state = start.state.copy()
+            pc, first = start.pc, start.dyn
         ctx = ExecContext(state, overrides, collect_records)
         budget = max_dynamic or machine.max_dynamic_instructions
         records: List[InstrRecord] = []
         instructions = program.instructions
         count = len(instructions)
-        pc = 0
-        executed = 0
+        executed = first
+        # One compare per instruction covers both the budget and the
+        # watch: ``stop`` is whichever of the two comes first.
+        stop = budget
+        if watch is not None:
+            stop = min(budget, -(-first // watch.interval) * watch.interval)
+        converged = False
         crash: Optional[CrashInfo] = None
         try:
             while pc < count:
-                if executed >= budget:
-                    raise HangError(budget)
+                if executed >= stop:
+                    if executed >= budget:
+                        raise HangError(budget)
+                    if watch.visit(executed, pc, state):
+                        converged = True
+                        break
+                    stop = min(budget, executed + watch.interval)
                 instruction = instructions[pc]
                 ctx.dyn_index = executed
                 ctx.pending_branch = None
@@ -323,7 +376,7 @@ class FunctionalSimulator:
                 message=str(error),
             )
         output: Optional[ProgramOutput] = None
-        if crash is None:
+        if crash is None and not converged:
             for address, xor_mask in overrides.final_mem_xor.items():
                 state.memory.xor_byte(address, xor_mask)
             for reg_name, xor_mask in overrides.final_reg_xor.items():
@@ -343,7 +396,8 @@ class FunctionalSimulator:
             output=output,
             crash=crash,
             records=records,
-            dynamic_count=executed,
+            dynamic_count=executed - first,
+            converged=converged,
         )
 
 

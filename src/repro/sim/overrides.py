@@ -9,6 +9,7 @@ container the functional simulator honours.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Tuple
 
@@ -86,6 +87,42 @@ class Overrides:
     #: Salt for non-deterministic instructions; two runs with different
     #: salts expose non-determinism (the SiliFuzz determinism filter).
     nondet_salt: int = 0
+
+    def has_final(self) -> bool:
+        """Does an override act on the output after the last instruction?"""
+        return bool(
+            self.final_mem_xor or self.final_reg_xor or self.final_reg_force
+        )
+
+    def dyn_span(self) -> Optional[Tuple[int, int]]:
+        """``(first, last)`` dynamic index a per-instruction override can
+        change a value at, or ``None`` when that is unbounded.
+
+        Before ``first`` a replay under these overrides executes exactly
+        the fault-free run; after ``last`` it can differ from it only
+        through the state it carries.  With no per-instruction override
+        the span is ``(sys.maxsize, -1)``.  A live unit model bounds its
+        span through its ``span`` attribute (its first and last
+        operation with a nonzero golden-input diff) and is unbounded
+        without one.  A salted run is unbounded: it diverges at its
+        first non-deterministic instruction.
+        """
+        if self.nondet_salt:
+            return None
+        dyns = [dyn for dyn, _reg in self.reg_read_xor]
+        dyns.extend(dyn for dyn, _reg in self.reg_read_force)
+        dyns.extend(self.load_xor)
+        if self.fu_dynamic is not None:
+            span = getattr(self.fu_dynamic, "span", None)
+            if span is None:
+                return None
+            dyns.extend(span)
+        else:
+            dyns.extend(self.fu_int)
+            dyns.extend(self.fu_lanes)
+        if not dyns:
+            return (sys.maxsize, -1)
+        return (min(dyns), max(dyns))
 
     def is_empty(self) -> bool:
         return not (

@@ -80,6 +80,15 @@ class Memory:
         clone._stack = bytearray(self._stack)
         return clone
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Memory):
+            return NotImplemented
+        return (
+            self._data == other._data
+            and self._stack == other._stack
+            and self.layout == other.layout
+        )
+
 
 @dataclass
 class ArchState:
